@@ -2,7 +2,8 @@
 verification suites.
 
 Exit codes: 0 success or equivalent, 1 inequivalent, 2 input error,
-3 cost cap exceeded.  Output is byte-identical for identical inputs.
+3 cost cap exceeded, 4 internal consistency failure.  Output is
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapExceeded, EndatlasError, InvalidInput
+from .errors import CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import build_galois_model, load_galois_model, places
 from .rootsys import build_root_system
 from .endodata import equivalent
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 SUITES = ("bijection", "local-global", "reduction", "shapiro")
 
@@ -177,9 +179,9 @@ def main(argv=None) -> int:
     except (InvalidInput, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except EndatlasError as exc:
+    except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
-        return EXIT_INPUT
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

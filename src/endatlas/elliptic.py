@@ -18,10 +18,18 @@ from .errors import CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, enumerate_cocycles
 from .rootsys import RootSystem, subdiagram_components, weyl_order
 from .torus import TorusElement
-from .weyl import WeylElement, enumerate_weyl, omega_group, torus_action
+from .weyl import (
+    WeylElement,
+    enumerate_weyl,
+    omega_conjugating,
+    omega_group,
+    simple_reflections,
+    torus_action,
+)
 from .endodata import (
     EndoscopicDatum,
     LanglandsData,
+    _transport_in_subsystem,
     centralizer_roots,
     equivalent,
     is_elliptic,
@@ -44,6 +52,22 @@ class EllipticPair:
         return (self.cocycle.key(), tuple(sorted(self.orbit)))
 
 
+def _orbit_of(node: int, perms) -> frozenset:
+    """The orbit of an affine node under the group generated by the permutations."""
+    orbit = {node}
+    frontier = [node]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = p(x)
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(orbit)
+
+
 def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
     n = len(galois)
     sp = [pair.cocycle.sigma_prime(galois, a) for a in range(n)]
@@ -51,22 +75,9 @@ def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
         for b in range(n):
             if sp[galois.table[a][b]].perm != sp[a].compose(sp[b]).perm:
                 raise InvalidInput("pair cocycle is not a cocycle")
-    orbit = set(pair.orbit)
-    if not orbit:
+    if not pair.orbit:
         raise InvalidInput("orbit must be nonempty")
-    seed = min(orbit)
-    reach = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in range(n):
-                y = sp[a](x)
-                if y not in reach:
-                    reach.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if reach != orbit:
+    if _orbit_of(min(pair.orbit), sp) != pair.orbit:
         raise InvalidInput("orbit is not a single orbit of the composite action")
 
 
@@ -79,30 +90,25 @@ def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
         for node in rs.affine_nodes:
             if node in seen:
                 continue
-            orbit = {node}
-            frontier = [node]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for p in sp:
-                        y = p(x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
+            orbit = _orbit_of(node, sp)
             seen |= orbit
-            pairs.append(EllipticPair(cocycle=c, orbit=frozenset(orbit)))
+            pairs.append(EllipticPair(cocycle=c, orbit=orbit))
     return sorted(pairs, key=EllipticPair.sort_key)
 
 
-def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> EndoscopicDatum:
-    """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it."""
+def _pair_torus(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
+    """Validate a pair; return (d, s) with s of value zeta_d on the orbit, 1 off it."""
     _validate_pair(rs, galois, pair)
     d = sum(rs.marks[node] for node in pair.orbit)
     torsion = [
         Fraction(1, d) if (i + 1) in pair.orbit else Fraction(0) for i in range(rs.rank)
     ]
-    s = TorusElement(torsion)
+    return d, TorusElement(torsion)
+
+
+def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> EndoscopicDatum:
+    """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it."""
+    d, s = _pair_torus(rs, galois, pair)
     if d == 1:
         # s = 1: the principal datum in disguise; the raw route norms it out
         raw = make_datum(rs, galois, s, pair.cocycle)
@@ -112,7 +118,6 @@ def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> En
     n = len(galois)
     family = [pair.cocycle.sigma_prime(galois, a).lattice(rs) for a in range(n)]
     base = tuple(sorted(rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit))
-    zero = (Fraction(0), ())
     for node in rs.affine_nodes:
         t, _ = s.value_at(rs.node_root(node))
         want = Fraction(1, d) if node in pair.orbit else Fraction(0)
@@ -141,15 +146,7 @@ def pair_equivalent(rs: RootSystem, galois: GaloisModel, p1: EllipticPair, p2: E
     n = len(galois)
     sp1 = [p1.cocycle.sigma_prime(galois, a) for a in range(n)]
     sp2 = [p2.cocycle.sigma_prime(galois, a) for a in range(n)]
-    for om in omega_group(rs):
-        if frozenset(om.aut(i) for i in p1.orbit) != p2.orbit:
-            continue
-        inv = om.aut.inverse()
-        if all(
-            om.aut.compose(sp1[a]).compose(inv).perm == sp2[a].perm for a in range(n)
-        ):
-            return om
-    return None
+    return next(omega_conjugating(rs, [p1.orbit], [p2.orbit], sp1, sp2), None)
 
 
 @dataclass(frozen=True)
@@ -238,12 +235,7 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
         rep.ok = False
         rep.violations.append(msg)
 
-    _validate_pair(rs, galois, pair)
-    d = sum(rs.marks[node] for node in pair.orbit)
-    torsion = [
-        Fraction(1, d) if (i + 1) in pair.orbit else Fraction(0) for i in range(rs.rank)
-    ]
-    s = TorusElement(torsion)
+    d, s = _pair_torus(rs, galois, pair)
     dual_vecs = [rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit]
 
     # the centralizer root set is exactly the integer span of the dual nodes
@@ -324,7 +316,7 @@ def _work_estimate(rs: RootSystem, galois: GaloisModel, order_bound: int) -> int
 
 def _canonical_s_reps(rs: RootSystem, order_bound: int):
     """Lex-minimal representatives of the W-orbits on the bounded torsion grid."""
-    gens = list(range(rs.rank))
+    gens = simple_reflections(rs)
     seen = set()
     reps = []
     for coords in product(range(order_bound), repeat=rs.rank):
@@ -338,19 +330,65 @@ def _canonical_s_reps(rs: RootSystem, order_bound: int):
         while frontier:
             nxt = []
             for cur in frontier:
-                for j in gens:
-                    w = WeylElement(
-                        tuple(
-                            rs.reflect_simple(j, rs.simple_roots[i])
-                            for i in range(rs.rank)
-                        )
-                    )
+                for w in gens:
                     img = torus_action(w, cur)
                     if img.key() not in seen:
                         seen.add(img.key())
                         nxt.append(img)
             frontier = nxt
     return reps
+
+
+def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_list):
+    """All Borel-normalized cocycle families fixing s, each a list of composite
+    actions: candidates w . phi(a) over ``weyl_list`` that fix s, moved to keep
+    the standard Borel, combined on the generators and kept when they satisfy
+    the cocycle identity."""
+    base = standard_bprime_base(rs, s)
+    sub = centralizer_roots(rs, s)
+    n = len(galois)
+    cands = []
+    for a in range(n):
+        phi = galois.phi_lattice(a)
+        ca = {}
+        for w in weyl_list:
+            comp = w * phi
+            if torus_action(comp, s) != s:
+                continue
+            if base:
+                image = [comp(b) for b in base]
+                v = _transport_in_subsystem(rs, sub, image, base)
+                comp = v * comp
+            ca[comp.images] = comp
+        if not ca:
+            return []
+        cands.append(sorted(ca.values(), key=lambda m: m.images))
+    allowed = [{m.images for m in c} for c in cands]
+    gens = galois.generating_set()
+    words = galois.words()
+    out = []
+    seen = set()
+    for choice in product(*(cands[g] for g in gens)):
+        gen_val = dict(zip(gens, choice))
+        family = []
+        for e in range(n):
+            cur = WeylElement.identity(rs.rank)
+            for g in words[e]:
+                cur = cur * gen_val[g]
+            family.append(cur)
+        if not all(
+            family[galois.table[a][b]] == family[a] * family[b]
+            for a in range(n)
+            for b in range(n)
+        ):
+            continue
+        if not all(family[a].images in allowed[a] for a in range(n)):
+            continue
+        key = tuple(f.images for f in family)
+        if key not in seen:
+            seen.add(key)
+            out.append(family)
+    return out
 
 
 def brute_force_inventory(
@@ -364,6 +402,8 @@ def brute_force_inventory(
     Ground truth for the classification: enumerates every torsion element on
     the grid, every compatible Borel-normalized Weyl cocycle over the diagram
     action, keeps the elliptic data, and deduplicates with ``equivalent``.
+    The cost cap is checked on every call; the result is built once per
+    (model, bound) and kept on the root system.
     """
     cost = _work_estimate(rs, galois, order_bound)
     if cost > cap:
@@ -371,69 +411,28 @@ def brute_force_inventory(
             f"inventory cost estimate {cost} exceeds the cap {cap}; "
             f"raise the cap to force the attempt"
         )
+    cache = getattr(rs, "_inventory_cache", None)
+    if cache is None:
+        cache = rs._inventory_cache = {}
+    key = (galois.key(), order_bound)
+    if key not in cache:
+        cache[key] = tuple(_build_inventory(rs, galois, order_bound, cap))
+    return list(cache[key])
+
+
+def _build_inventory(rs: RootSystem, galois: GaloisModel, order_bound: int, cap: int):
     W = enumerate_weyl(rs, cap=cap)
-    n = len(galois)
-    phis = [galois.phi_lattice(a) for a in range(n)]
-    gens = galois.generating_set()
-    words = galois.words()
     found: list[EndoscopicDatum] = []
     for s in _canonical_s_reps(rs, order_bound):
-        base = standard_bprime_base(rs, s)
-        sub = centralizer_roots(rs, s)
-        cands = []
-        feasible = True
-        for a in range(n):
-            ca = {}
-            for w in W:
-                comp = w * phis[a]
-                if torus_action(comp, s) != s:
-                    continue
-                if base:
-                    from .endodata import _transport_in_subsystem
-
-                    image = [comp(b) for b in base]
-                    v = _transport_in_subsystem(rs, sub, image, base)
-                    comp = v * comp
-                ca[comp.images] = comp
-            if not ca:
-                feasible = False
-                break
-            cands.append(sorted(ca.values(), key=lambda m: m.images))
-        if not feasible:
+        families = _families_fixing(rs, galois, s, W)
+        if not families:
             continue
-        families = set()
-        data_here = []
-        for choice in product(*(cands[g] for g in gens)) if gens else [()]:
-            gen_val = dict(zip(gens, choice))
-            family = []
-            for e in range(n):
-                cur = WeylElement.identity(rs.rank)
-                for g in words[e]:
-                    cur = cur * gen_val[g]
-                family.append(cur)
-            ok = all(
-                family[galois.table[a][b]] == family[a] * family[b]
-                for a in range(n)
-                for b in range(n)
-            )
-            if not ok:
-                continue
-            allowed = [
-                {m.images for m in cands[a]} for a in range(n)
-            ]
-            if not all(family[a].images in allowed[a] for a in range(n)):
-                continue
-            key = tuple(f.images for f in family)
-            if key in families:
-                continue
-            families.add(key)
+        base = standard_bprime_base(rs, s)
+        for family in families:
             datum = EndoscopicDatum(
                 rs, galois, s, family, base, normalized=False, _validate=False
             )
-            if is_elliptic(datum):
-                data_here.append(datum)
-        for datum in data_here:
-            if not any(
+            if is_elliptic(datum) and not any(
                 other.s == datum.s and equivalent(other, datum) is not None
                 for other in found
             ):

@@ -23,7 +23,9 @@ from .weyl import (
     DiagramAut,
     WeylElement,
     enumerate_weyl,
+    omega_conjugating,
     omega_group,
+    simple_reflections,
     torus_action,
     weyl_part_if_member,
 )
@@ -264,9 +266,13 @@ def _cocycle_values(rs, galois, cocycle):
                 idx = galois.names.index(k)
             else:
                 idx = int(k)
+                if not 0 <= idx < len(galois):
+                    raise InvalidInput(f"cocycle key {k!r} is not an element index")
             items[idx] = v
     else:
         items = dict(enumerate(cocycle))
+        if len(items) > len(galois):
+            raise InvalidInput("cocycle lists more values than the group has elements")
     for a in range(len(galois)):
         v = items.get(a)
         if v is None:
@@ -423,10 +429,7 @@ def _orbit_search(rs: RootSystem, s1: TorusElement, s2: TorusElement, cap: int):
     """Breadth-first search for w with w(s1) = s2 over simple reflections."""
     if s1 == s2:
         return WeylElement.identity(rs.rank)
-    gens = [
-        WeylElement(tuple(rs.reflect_simple(j, rs.simple_roots[i]) for i in range(rs.rank)))
-        for j in range(rs.rank)
-    ]
+    gens = simple_reflections(rs)
     start = s1
     parent = {start.key(): None}
     frontier = [start]
@@ -499,23 +502,16 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_ORBI
     ]
     acts1 = [n1.node_action(a) for a in range(len(d1.galois))]
     acts2 = [n2.node_action(a) for a in range(len(d2.galois))]
-    for om in omega_group(rs):
-        if any(
-            frozenset(om.aut(i) for i in layer) != layer for layer in node_layers[1:]
-        ):
-            continue
-        inv = om.aut.inverse()
-        if all(
-            om.aut.compose(acts1[a]).compose(inv).perm == acts2[a].perm
-            for a in range(len(d1.galois))
-        ):
-            witness = ld2.u.inverse() * om.weyl * ld1.u * w0
-            if not witness_transports(d1, d2, witness):
-                raise InternalConsistencyError(
-                    "Omega witness failed certification against the raw data"
-                )
-            return witness
-    return None
+    layers = node_layers[1:]
+    om = next(omega_conjugating(rs, layers, layers, acts1, acts2), None)
+    if om is None:
+        return None
+    witness = ld2.u.inverse() * om.weyl * ld1.u * w0
+    if not witness_transports(d1, d2, witness):
+        raise InternalConsistencyError(
+            "Omega witness failed certification against the raw data"
+        )
+    return witness
 
 
 def _equivalent_infinite(d1, d2, cap):
@@ -572,19 +568,8 @@ def out_group(datum: EndoscopicDatum):
         frozenset(rs.node_of_root(r) for r in layer) for layer in nd.langlands.layers
     ]
     acts = [nd.node_action(a) for a in range(len(nd.galois))]
-    out = []
-    for om in omega_group(rs):
-        if any(
-            frozenset(om.aut(i) for i in layer) != layer for layer in node_layers[1:]
-        ):
-            continue
-        inv = om.aut.inverse()
-        if all(
-            om.aut.compose(acts[a]).compose(inv).perm == acts[a].perm
-            for a in range(len(nd.galois))
-        ):
-            out.append(om)
-    return out
+    layers = node_layers[1:]
+    return list(omega_conjugating(rs, layers, layers, acts, acts))
 
 
 def _orbit_count(perms, items):

@@ -272,6 +272,9 @@ def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
         action_spec = dict(data.get("action", {}))
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed galois model: {exc}") from exc
+    unknown = sorted(str(k) for k in set(action_spec) - {str(nm) for nm in names})
+    if unknown:
+        raise InvalidInput(f"action names unknown elements {unknown}")
     action = []
     for nm in names:
         perm = action_spec.get(str(nm))

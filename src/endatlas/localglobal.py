@@ -9,10 +9,8 @@ only) are exercised by an explicit search that returns evidence or nothing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ._config import thread_degree
 from .errors import InvalidInput
 from .galois import GaloisModel, places
 from .rootsys import RootSystem
@@ -68,23 +66,14 @@ class LocalGlobalReport:
 def exhaustive_local_global(
     rs: RootSystem, galois: GaloisModel, order_bound: int, cap: int = 10**6
 ) -> LocalGlobalReport:
-    """Consistency of every pair from the bounded inventory.
-
-    Pairwise checks are independent and run across ENDATLAS_THREADS workers;
-    the aggregation order is fixed, so the report is deterministic.
-    """
+    """Consistency of every pair from the bounded inventory."""
     inventory = brute_force_inventory(rs, galois, order_bound, cap=cap)
     pairs = [
         (inventory[i], inventory[j])
         for i in range(len(inventory))
         for j in range(i, len(inventory))
     ]
-    degree = thread_degree()
-    if degree > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            verdicts = list(pool.map(lambda p: check_local_global(*p), pairs))
-    else:
-        verdicts = [check_local_global(a, b) for a, b in pairs]
+    verdicts = [check_local_global(a, b) for a, b in pairs]
     fals = [
         (a, b, v) for (a, b), v in zip(pairs, verdicts) if not v.consistent
     ]

@@ -11,7 +11,7 @@ carry over unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -258,23 +258,7 @@ def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
     r_basis0 = _free_exponent_basis(rs, r1.s)
     w_std = _standardizer(rs, r1.s, r_basis0)
     r1, r2 = transport_datum(r1, w_std), transport_datum(r2, w_std)
-    plan_core = build_reduction_plan(rs, r1.s)
-    plan = ReductionPlan(
-        bypass=False,
-        standardizer=w_std,
-        r_basis=plan_core.r_basis,
-        sigma_p=plan_core.sigma_p,
-        sigma_m=plan_core.sigma_m,
-        delta_m_fixed=plan_core.delta_m_fixed,
-        delta_m_moved=plan_core.delta_m_moved,
-        classes=plan_core.classes,
-        class_reps=plan_core.class_reps,
-        b=plan_core.b,
-        c=plan_core.c,
-        d=plan_core.d,
-        t=plan_core.t,
-        s_level_sets=plan_core.s_level_sets,
-    )
+    plan = replace(build_reduction_plan(rs, r1.s), standardizer=w_std)
     t = plan.t
     out = []
     for r in (r1, r2):
@@ -331,6 +315,7 @@ class InducedModel:
     reps: tuple                # coset representatives, identity first
     rs: RootSystem             # the induced (product) system
     base_rs: RootSystem
+    rho: tuple                 # coset representative of each ambient element
 
     @property
     def subgroup(self):
@@ -421,6 +406,7 @@ def make_induced_model(
         reps=tuple(reps),
         rs=rs,
         base_rs=base_rs,
+        rho=tuple(rho),
     )
 
 
@@ -456,9 +442,8 @@ def shapiro_induce(base_datum: EndoscopicDatum, model: InducedModel) -> Endoscop
     )
     table = model.galois.table
     n = len(model.galois.names)
-    emb = _embedding_of(model)
-    backmap = {g: i for i, g in enumerate(emb)}
-    rho = _rho_of(model)
+    backmap = {g: i for i, g in enumerate(model.embedding)}
+    rho = model.rho
     eta1 = [base.w_value(a) for a in range(len(model.base_galois))]
     family = []
     for sigma in range(n):
@@ -478,22 +463,6 @@ def shapiro_induce(base_datum: EndoscopicDatum, model: InducedModel) -> Endoscop
     return datum
 
 
-def _embedding_of(model: InducedModel):
-    return model.embedding
-
-
-def _rho_of(model: InducedModel):
-    n = len(model.galois)
-    table = model.galois.table
-    sub = set(model.subgroup)
-    rho = [None] * n
-    for x in range(n):
-        coset = {table[h][x] for h in sub}
-        rep = next(r for r in model.reps if r in coset)
-        rho[x] = rep
-    return rho
-
-
 def shapiro_descend(induced_datum: EndoscopicDatum, model: InducedModel) -> EndoscopicDatum:
     """Project an induced datum to the base system at the identity coset."""
     if induced_datum.rs is not model.rs:
@@ -506,9 +475,8 @@ def shapiro_descend(induced_datum: EndoscopicDatum, model: InducedModel) -> Endo
         raw.s.torsion[:nb],
         raw.s.free[:nb] if raw.s.n_generators else None,
     )
-    emb = _embedding_of(model)
     fam = []
-    for i, g in enumerate(emb):
+    for g in model.embedding:
         a_map = raw.family[g]
         rows = []
         for j in range(nb):

@@ -7,21 +7,18 @@ falsifiers were found within the configured caps.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
-from ._config import thread_degree
 from .errors import CapExceeded
 from .galois import GaloisModel, build_galois_model, places
 from .rootsys import RootSystem, build_root_system
 from .torus import TorusElement
-from .weyl import WeylElement, enumerate_delta_automorphisms, enumerate_weyl
+from .weyl import enumerate_delta_automorphisms, enumerate_weyl
 from .weyl import torus_action, weyl_membership
 from .endodata import EndoscopicDatum, equivalent, standard_bprime_base
-from .endodata import centralizer_roots, _transport_in_subsystem
 from .elliptic import (
+    _families_fixing,
     brute_force_inventory,
     classify_elliptic,
     enumerate_pairs,
@@ -38,15 +35,6 @@ from .reduction import (
     shapiro_induce,
     equivalence_transfers_under_shapiro,
 )
-
-
-def run_checks(checks):
-    """Run independent zero-argument checks across ENDATLAS_THREADS workers."""
-    degree = thread_degree()
-    if degree <= 1 or len(checks) <= 1:
-        return [c() for c in checks]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(lambda c: c(), checks))
 
 
 @dataclass
@@ -139,54 +127,6 @@ def _random_torus(rng: random.Random, rank: int, n_gens: int, force_free: bool) 
             Fraction(1) if k == 0 else Fraction(0) for k in range(n_gens)
         )
     return TorusElement(torsion, free)
-
-
-def _families_fixing(rs, galois, s, weyl_list):
-    """All Borel-normalized cocycle families fixing s (as in the inventory)."""
-    base = standard_bprime_base(rs, s)
-    sub = centralizer_roots(rs, s)
-    n = len(galois)
-    cands = []
-    for a in range(n):
-        ca = {}
-        for w in weyl_list:
-            comp = w * galois.phi_lattice(a)
-            if torus_action(comp, s) != s:
-                continue
-            if base:
-                image = [comp(b) for b in base]
-                v = _transport_in_subsystem(rs, sub, image, base)
-                comp = v * comp
-            ca[comp.images] = comp
-        if not ca:
-            return []
-        cands.append(sorted(ca.values(), key=lambda m: m.images))
-    gens = galois.generating_set()
-    words = galois.words()
-    out = []
-    seen = set()
-    for choice in product(*(cands[g] for g in gens)) if gens else [()]:
-        gen_val = dict(zip(gens, choice))
-        family = []
-        for e in range(n):
-            cur = WeylElement.identity(rs.rank)
-            for g in words[e]:
-                cur = cur * gen_val[g]
-            family.append(cur)
-        if not all(
-            family[galois.table[a][b]] == family[a] * family[b]
-            for a in range(n)
-            for b in range(n)
-        ):
-            continue
-        allowed = [{m.images for m in cands[a]} for a in range(n)]
-        if not all(family[a].images in allowed[a] for a in range(n)):
-            continue
-        key = tuple(f.images for f in family)
-        if key not in seen:
-            seen.add(key)
-            out.append(family)
-    return out
 
 
 def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TYPES) -> SuiteResult:
@@ -319,17 +259,11 @@ def shapiro_suite(base_types=("A1", "A2")) -> SuiteResult:
             again = shapiro_induce(back, model)
             if equivalent(again, y) is None:
                 failures.append(f"{tag}: induce(descend(y)) inequivalent to y")
-        pair_index = [
-            (i, j) for i in range(len(pool)) for j in range(i, len(pool))
-        ]
-        n_pairs += len(pair_index)
-        verdicts = run_checks([
-            (lambda i=i, j=j: equivalence_transfers_under_shapiro(pool[i], pool[j], model))
-            for i, j in pair_index
-        ])
-        for (i, j), ok in zip(pair_index, verdicts):
-            if not ok:
-                failures.append(f"{tag}: equivalence did not transfer (pair {i},{j})")
+        for i in range(len(pool)):
+            for j in range(i, len(pool)):
+                n_pairs += 1
+                if not equivalence_transfers_under_shapiro(pool[i], pool[j], model):
+                    failures.append(f"{tag}: equivalence did not transfer (pair {i},{j})")
     return SuiteResult(
         name="shapiro",
         ok=not failures,

@@ -47,7 +47,9 @@ class WeylElement:
             rows = [[Fraction(self.images[i][j]) for j in range(n)] for i in range(n)]
             aug = [row + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(rows)]
             for c in range(n):
-                pr = next(i for i in range(c, n) if aug[i][c] != 0)
+                pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+                if pr is None:
+                    raise InvalidInput("lattice map is singular")
                 aug[c], aug[pr] = aug[pr], aug[c]
                 pv = aug[c][c]
                 aug[c] = [x / pv for x in aug[c]]
@@ -132,6 +134,18 @@ def _diagram_aut_of_delta_perm(rs: RootSystem, delta_images) -> DiagramAut:
     return DiagramAut((0,) + tuple(delta_images))
 
 
+def simple_reflections(rs: RootSystem):
+    """The simple reflections s_1..s_n as lattice maps, built once per system."""
+    cached = getattr(rs, "_simple_reflections", None)
+    if cached is None:
+        cached = tuple(
+            WeylElement(tuple(rs.reflect_simple(j, rs.simple_roots[i]) for i in range(rs.rank)))
+            for j in range(rs.rank)
+        )
+        rs._simple_reflections = cached
+    return cached
+
+
 # -- bases and chamber descent ------------------------------------------------
 
 
@@ -174,6 +188,7 @@ def _descend_to_delta(rs: RootSystem, base) -> WeylElement:
     the transported base is reflected away; terminates within |Sigma^+| steps.
     """
     pos = set(_positive_system(rs, base))
+    gens = simple_reflections(rs)
     w = WeylElement.identity(rs.rank)
     target = rs.positives
     steps = 0
@@ -186,10 +201,7 @@ def _descend_to_delta(rs: RootSystem, base) -> WeylElement:
         if j is None:
             raise InternalConsistencyError("descent stalled on a non-positive system")
         pos = {rs.reflect_simple(j, r) for r in pos}
-        s_j = WeylElement(
-            tuple(rs.reflect_simple(j, rs.simple_roots[i]) for i in range(rs.rank))
-        )
-        w = s_j * w
+        w = gens[j] * w
         steps += 1
         if steps > limit:
             raise InternalConsistencyError("descent failed to terminate")
@@ -329,15 +341,28 @@ def omega_by_node(rs: RootSystem):
     return {om.aut(0): om for om in omega_group(rs)}
 
 
+def omega_conjugating(rs: RootSystem, sets1, sets2, acts1, acts2):
+    """The Omega elements om, in order, with om(sets1[i]) = sets2[i] for every
+    node set and om . acts1[a] . om^{-1} = acts2[a] for every node action."""
+    for om in omega_group(rs):
+        if any(
+            frozenset(om.aut(i) for i in x) != y for x, y in zip(sets1, sets2)
+        ):
+            continue
+        inv = om.aut.inverse()
+        if all(
+            om.aut.compose(a1).compose(inv).perm == a2.perm
+            for a1, a2 in zip(acts1, acts2)
+        ):
+            yield om
+
+
 def enumerate_weyl(rs: RootSystem, cap: int = 2_000_000):
     """Every element of W as a lattice map, by closure over simple reflections."""
     cached = getattr(rs, "_weyl_cache", None)
     if cached is not None and len(cached) <= cap:
         return cached
-    gens = [
-        WeylElement(tuple(rs.reflect_simple(j, rs.simple_roots[i]) for i in range(rs.rank)))
-        for j in range(rs.rank)
-    ]
+    gens = simple_reflections(rs)
     seen = {WeylElement.identity(rs.rank)}
     frontier = list(seen)
     while frontier:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from endatlas.cli import main
+from endatlas.errors import CapExceeded, InternalConsistencyError, InvalidInput
 from endatlas.serialize import datum_to_dict, dumps
 
 from conftest import a2_rotation_data
@@ -83,6 +84,29 @@ def test_equiv_mismatched_models(rotation_files, tmp_path, capsys):
         '"s": {"torsion": ["0", "0"]}, "cocycle": {}}'
     )
     assert main(["equiv", p1, str(other)]) == 2
+
+
+def test_equiv_singular_cocycle_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "singular.json"
+    bad.write_text(
+        '{"type": "A2", "galois": "c2:inner", '
+        '"s": {"torsion": ["0", "0"]}, "cocycle": {"g": [[1, 1], [1, 1]]}}'
+    )
+    assert main(["equiv", str(bad), str(bad)]) == 2
+    assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(InvalidInput, 2), (CapExceeded, 3), (InternalConsistencyError, 4)],
+)
+def test_equiv_error_exit_codes(rotation_files, monkeypatch, capsys, error, code):
+    def fail(d1, d2):
+        raise error("injected")
+
+    monkeypatch.setattr("endatlas.cli.equivalent", fail)
+    p1, p2 = rotation_files
+    assert main(["equiv", p1, p2]) == code
 
 
 def test_equiv_missing_file(capsys):

@@ -11,6 +11,8 @@ from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
 from endatlas.endodata import equivalent, is_elliptic, langlands_normalize
 from endatlas.elliptic import (
+    DEFAULT_WORK_CAP,
+    _build_inventory,
     brute_force_inventory,
     classify_elliptic,
     enumerate_pairs,
@@ -127,6 +129,22 @@ def test_inventory_cap_policy():
     g = build_galois_model("trivial", rs)
     with pytest.raises(CapExceeded):
         brute_force_inventory(rs, g, 2)
+
+
+def test_inventory_is_built_once_per_model_and_bound(a2):
+    first = brute_force_inventory(a2, build_galois_model("c3:inner", a2), 6)
+    # a new model object with the same table hits the stored inventory
+    again = brute_force_inventory(a2, build_galois_model("c3:inner", a2), 6)
+    assert again == first and again is not first
+    assert again == _build_inventory(
+        a2, build_galois_model("c3:inner", a2), 6, DEFAULT_WORK_CAP
+    )
+    first.clear()
+    assert brute_force_inventory(a2, build_galois_model("c3:inner", a2), 6) == again
+    assert len(again) == 3
+    # the cap is checked before the stored inventory is looked up
+    with pytest.raises(CapExceeded):
+        brute_force_inventory(a2, build_galois_model("c3:inner", a2), 6, cap=1)
 
 
 def test_sigma_structure_all_small_pairs(a1, a2, c2):

@@ -218,6 +218,10 @@ def test_make_datum_rejects_unknown_element(a1):
     g = build_galois_model("c2:inner", a1)
     with pytest.raises(InvalidInput, match="unknown element"):
         make_datum(a1, g, TorusElement([F(0)]), {"h": WeylElement([(-1,)])})
+    with pytest.raises(InvalidInput, match="not an element index"):
+        make_datum(a1, g, TorusElement([F(0)]), {7: WeylElement([(-1,)])})
+    with pytest.raises(InvalidInput, match="more values"):
+        make_datum(a1, g, TorusElement([F(0)]), [WeylElement([(1,)])] * 3)
 
 
 def test_raw_form_preserves_identity(c2):

@@ -82,6 +82,10 @@ def test_model_dict_validation(a1):
         model_from_dict({"elements": ["e", "g"], "table": [[0, 1], [1, 1]]}, a1)
     with pytest.raises(InvalidInput):
         model_from_dict({"elements": ["e"], "table": [[0]], "action": {"e": [2]}}, a1)
+    with pytest.raises(InvalidInput, match="unknown elements"):
+        model_from_dict(
+            {"elements": ["e", "g"], "table": [[0, 1], [1, 0]], "action": {"h": [1]}}, a1
+        )
 
 
 def test_places_trivial_and_z2(a1):
