@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapExceeded, InternalConsistencyError, InvalidInput
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import build_galois_model, load_galois_model, places
 from .rootsys import build_root_system
 from .endodata import equivalent
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--type", help="Cartan type (bijection/local-global; base type for shapiro)")
     ver.add_argument("--galois", help="preset name or table:PATH")
     ver.add_argument("--max-order", type=int, default=None)
-    ver.add_argument("--cap-orbit", type=int, default=10**6)
+    ver.add_argument("--cap-orbit", type=int, default=DEFAULT_WORK_CAP)
     ver.add_argument("--places", help="comma-separated generators restricting the place family")
     ver.add_argument("--format", choices=("json", "md"), default="json")
     ver.add_argument("--out", help="write the report here instead of stdout")

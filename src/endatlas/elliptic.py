@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from ._linalg import solve_in_basis, zspan_basis, zspan_contains
-from .errors import CapExceeded, InternalConsistencyError, InvalidInput
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, enumerate_cocycles
 from .rootsys import RootSystem, subdiagram_components, weyl_order
 from .torus import TorusElement
@@ -29,7 +29,8 @@ from .weyl import (
 from .endodata import (
     EndoscopicDatum,
     LanglandsData,
-    _transport_in_subsystem,
+    _standard_borel,
+    canonicalize_action,
     centralizer_roots,
     equivalent,
     is_elliptic,
@@ -37,8 +38,6 @@ from .endodata import (
     make_datum,
     standard_bprime_base,
 )
-
-DEFAULT_WORK_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -344,8 +343,7 @@ def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_
     actions: candidates w . phi(a) over ``weyl_list`` that fix s, moved to keep
     the standard Borel, combined on the generators and kept when they satisfy
     the cocycle identity."""
-    base = standard_bprime_base(rs, s)
-    sub = centralizer_roots(rs, s)
+    sub_pos, base = _standard_borel(rs, s)
     n = len(galois)
     cands = []
     for a in range(n):
@@ -355,10 +353,7 @@ def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_
             comp = w * phi
             if torus_action(comp, s) != s:
                 continue
-            if base:
-                image = [comp(b) for b in base]
-                v = _transport_in_subsystem(rs, sub, image, base)
-                comp = v * comp
+            comp = canonicalize_action(rs, sub_pos, base, comp)
             ca[comp.images] = comp
         if not ca:
             return []

@@ -13,24 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._linalg import solve_in_basis, vec_neg, zspan_basis, zspan_contains
-from ._linalg import fixed_space_dimension
-from .errors import CapExceeded, InternalConsistencyError, InvalidInput
+from ._linalg import fixed_space_dimension, solve_in_basis, zspan_basis, zspan_contains
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, Place, restrict_model
 from .rootsys import RootSystem
 from .torus import TorusElement
 from .weyl import (
     DiagramAut,
     WeylElement,
+    _transport_in_subsystem,
+    enumerate_affine_automorphisms,
     enumerate_weyl,
+    find_base_transport,
     omega_conjugating,
     omega_group,
+    positive_system,
     simple_reflections,
     torus_action,
     weyl_part_if_member,
 )
-
-DEFAULT_ORBIT_CAP = 10**6
 
 
 # -- subsystem helpers ---------------------------------------------------------
@@ -42,69 +43,27 @@ def centralizer_roots(rs: RootSystem, s: TorusElement):
     return frozenset(r for r in rs.all_roots if s.value_at(r) == zero)
 
 
+def _standard_borel(rs: RootSystem, s: TorusElement):
+    """The positive roots of the centralizer subsystem and their simple system."""
+    sub_pos = centralizer_roots(rs, s) & rs.positives
+    base = [
+        r for r in sub_pos
+        if not any(tuple(a - b for a, b in zip(r, q)) in sub_pos for q in sub_pos if q != r)
+    ]
+    return sub_pos, tuple(sorted(base))
+
+
 def standard_bprime_base(rs: RootSystem, s: TorusElement):
     """Simple system of the positive part of the centralizer subsystem."""
-    sub_pos = sorted(centralizer_roots(rs, s) & rs.positives)
-    pos_set = set(sub_pos)
-    base = []
-    for r in sub_pos:
-        decomposable = any(
-            tuple(a - b for a, b in zip(r, q)) in pos_set for q in sub_pos if q != r
-        )
-        if not decomposable:
-            base.append(r)
-    return tuple(sorted(base))
+    return _standard_borel(rs, s)[1]
 
 
-def _sub_positive_system(rs: RootSystem, sub_roots, base):
-    pos = set()
-    for r in sub_roots:
-        c = solve_in_basis(list(base), r)
-        if c is None:
-            raise InternalConsistencyError("subsystem root outside the base span")
-        if all(x >= 0 for x in c):
-            pos.add(r)
-        elif not all(x <= 0 for x in c):
-            raise InternalConsistencyError("subsystem base is not a base")
-    return frozenset(pos)
-
-
-def _transport_in_subsystem(rs: RootSystem, sub_roots, start_base, target_base):
-    """The element of the subsystem Weyl group sending one base to the other."""
-    if not start_base and not target_base:
-        return WeylElement.identity(rs.rank)
-    pos = set(_sub_positive_system(rs, sub_roots, start_base))
-    target_pos = _sub_positive_system(rs, sub_roots, target_base)
-    v = WeylElement.identity(rs.rank)
-    steps, limit = 0, len(sub_roots) + 1
-    while frozenset(pos) != target_pos:
-        t = next(
-            (t for t in sorted(target_base) if vec_neg(t) in pos),
-            None,
-        )
-        if t is None:
-            raise InternalConsistencyError("subsystem descent stalled")
-        pos = {rs.reflect(t, r) for r in pos}
-        s_t = WeylElement(
-            tuple(rs.reflect(t, rs.simple_roots[i]) for i in range(rs.rank))
-        )
-        v = s_t * v
-        steps += 1
-        if steps > limit:
-            raise InternalConsistencyError("subsystem descent failed to terminate")
-    return v
-
-
-def canonicalize_action(rs: RootSystem, s: TorusElement, a: WeylElement, base=None):
-    """The unique subsystem-Weyl translate of ``a`` preserving the standard Borel."""
-    if base is None:
-        base = standard_bprime_base(rs, s)
+def canonicalize_action(rs: RootSystem, sub_pos, base, a: WeylElement) -> WeylElement:
+    """The unique subsystem-Weyl translate v . a of an action ``a`` preserving
+    the Borel with positive roots ``sub_pos`` and simple system ``base``."""
     if not base:
         return a
-    sub = centralizer_roots(rs, s)
-    image = [a(b) for b in base]
-    v = _transport_in_subsystem(rs, sub, image, base)
-    return v * a
+    return _transport_in_subsystem(rs, {a(r) for r in sub_pos}, base, sub_pos) * a
 
 
 # -- the datum -----------------------------------------------------------------
@@ -218,32 +177,21 @@ def make_datum(rs: RootSystem, galois: GaloisModel, s: TorusElement, cocycle) ->
     if s.rank != rs.rank:
         raise InvalidInput("torus element rank does not match the root system")
     values = _cocycle_values(rs, galois, cocycle)
-    base = standard_bprime_base(rs, s)
-    sub = centralizer_roots(rs, s)
     family = []
     for a in range(len(galois)):
         composite = values[a] * galois.phi_lattice(a)
         if torus_action(composite, s) != s:
             raise InvalidInput("cocycle value does not fix s")
-        if base:
-            image = [composite(b) for b in base]
-            v = _transport_in_subsystem(rs, sub, image, base)
-            composite = v * composite
+        if {composite(r) for r in rs.all_roots} != rs.all_roots:
+            raise InvalidInput("cocycle value does not permute the roots")
         family.append(composite)
-    return EndoscopicDatum(rs, galois, s, family, base, normalized=False)
+    return make_datum_from_family(rs, galois, s, family, validate=True)
 
 
 def make_datum_from_family(rs, galois, s, family, validate=False) -> EndoscopicDatum:
     """Rebuild a raw-convention datum from composite actions (assumed valid)."""
-    base = standard_bprime_base(rs, s)
-    sub = centralizer_roots(rs, s)
-    out = []
-    for a_map in family:
-        if base:
-            image = [a_map(b) for b in base]
-            v = _transport_in_subsystem(rs, sub, image, base)
-            a_map = v * a_map
-        out.append(a_map)
+    sub_pos, base = _standard_borel(rs, s)
+    out = [canonicalize_action(rs, sub_pos, base, a) for a in family]
     return EndoscopicDatum(rs, galois, s, out, base, normalized=False, _validate=validate)
 
 
@@ -256,7 +204,6 @@ def principal_datum(rs: RootSystem, galois: GaloisModel) -> EndoscopicDatum:
 def _cocycle_values(rs, galois, cocycle):
     if isinstance(cocycle, Cocycle):
         return [cocycle.value(a).lattice(rs) for a in range(len(galois))]
-    values = [None] * len(galois)
     if isinstance(cocycle, dict):
         items = {}
         for k, v in cocycle.items():
@@ -273,21 +220,35 @@ def _cocycle_values(rs, galois, cocycle):
         items = dict(enumerate(cocycle))
         if len(items) > len(galois):
             raise InvalidInput("cocycle lists more values than the group has elements")
-    for a in range(len(galois)):
-        v = items.get(a)
-        if v is None:
-            values[a] = WeylElement.identity(rs.rank)
-        elif isinstance(v, WeylElement):
-            values[a] = v
-        elif isinstance(v, DiagramAut):
-            values[a] = v.lattice(rs)
-        elif isinstance(v, (list, tuple)) and v and isinstance(v[0], int):
-            values[a] = DiagramAut(tuple(v)).lattice(rs)
-        elif isinstance(v, (list, tuple)):
-            values[a] = WeylElement(tuple(tuple(x) for x in v))
-        else:
-            raise InvalidInput(f"cannot interpret cocycle value {v!r}")
-    return values
+    return [_cocycle_value(rs, items.get(a)) for a in range(len(galois))]
+
+
+def _cocycle_value(rs, v) -> WeylElement:
+    """One cocycle value as a lattice map.  Accepted: None (the identity), a
+    WeylElement or ``rank`` rows of ``rank`` integers (images of the simple
+    roots), a DiagramAut or a permutation of the affine nodes 0..rank."""
+    if v is None:
+        return WeylElement.identity(rs.rank)
+    if isinstance(v, WeylElement):
+        v = v.images
+    elif isinstance(v, DiagramAut):
+        v = v.perm
+    if not isinstance(v, (list, tuple)) or not v:
+        raise InvalidInput(f"cannot interpret cocycle value {v!r}")
+    if all(isinstance(x, int) for x in v):
+        if sorted(v) != list(range(rs.rank + 1)):
+            raise InvalidInput(f"node permutation {list(v)} is not a permutation of 0..{rs.rank}")
+        aut = DiagramAut(tuple(v))
+        if not (aut in enumerate_affine_automorphisms(rs) if rs.is_simple else aut.fixes_node_zero()):
+            raise InvalidInput(f"node permutation {list(v)} is not an automorphism of the diagram")
+        return aut.lattice(rs)
+    if len(v) != rs.rank or not all(
+        isinstance(row, (list, tuple)) and len(row) == rs.rank
+        and all(isinstance(x, int) for x in row)
+        for row in v
+    ):
+        raise InvalidInput(f"cocycle value {v!r} is not {rs.rank} rows of {rs.rank} integers")
+    return WeylElement(v)
 
 
 def raw_form(datum: EndoscopicDatum) -> EndoscopicDatum:
@@ -364,22 +325,19 @@ def langlands_normalize(datum: EndoscopicDatum):
     u = None
     shape = None
     if len(x_set) == rs.rank:
-        from .weyl import find_base_transport
-
         u = find_base_transport(rs, x_sorted, rs.simple_roots)
         shape = "Delta"
     elif len(x_set) == rs.rank + 1:
-        from .weyl import find_base_transport, is_base
-
         # candidates in canonical root order; an s-fixing transport is
         # preferred because it reproduces the layers on the nose
         valid = []
         for beta in x_sorted:
-            rest = [r for r in x_sorted if r != beta]
-            if not is_base(rs, rest):
+            pos = positive_system(rs, rs.all_roots, [r for r in x_sorted if r != beta])
+            if pos is None:
                 continue
-            w = find_base_transport(rs, rest, rs.simple_roots)
-            if w is not None and w(beta) == rs.lowest_root:
+            # the rest is a set of roots and a base, so w sends it onto Delta
+            w = _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
+            if w(beta) == rs.lowest_root:
                 valid.append(w)
         fixing = [w for w in valid if torus_action(w, datum.s) == datum.s]
         if fixing:
@@ -465,7 +423,7 @@ def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement)
     return transport_datum(r1, w) == r2
 
 
-def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_ORBIT_CAP):
+def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK_CAP):
     """Equivalence test; returns a witness Weyl element or None.
 
     Finite-order data go through the layer normalization and the Omega

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default work cap."""
+
+DEFAULT_WORK_CAP = 10**6  # default bound on states, group elements and table work
 
 
 class EndatlasError(Exception):

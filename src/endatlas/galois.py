@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InternalConsistencyError, InvalidInput
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .rootsys import RootSystem
 from .weyl import DiagramAut, enumerate_delta_automorphisms
 
@@ -228,6 +228,9 @@ def _preset_model(name: str, rs: RootSystem) -> GaloisModel:
             n = int(base[1:])
             if n < 1:
                 raise InvalidInput("cyclic preset needs order >= 1")
+            if n**3 > DEFAULT_WORK_CAP:
+                # the table has n^2 entries and its associativity check n^3 steps
+                raise CapExceeded(f"cyclic preset of order {n} exceeds the work cap {DEFAULT_WORK_CAP}")
             names, table = _cyclic(n)
             if variant == "inner":
                 return GaloisModel(names, table, _identity_auts(rs, n), rs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput
+from .errors import DEFAULT_WORK_CAP, InvalidInput
 from .galois import GaloisModel, places
 from .rootsys import RootSystem
 from .endodata import EndoscopicDatum, equivalent, is_elliptic, localize
@@ -64,7 +64,7 @@ class LocalGlobalReport:
 
 
 def exhaustive_local_global(
-    rs: RootSystem, galois: GaloisModel, order_bound: int, cap: int = 10**6
+    rs: RootSystem, galois: GaloisModel, order_bound: int, cap: int = DEFAULT_WORK_CAP
 ) -> LocalGlobalReport:
     """Consistency of every pair from the bounded inventory."""
     inventory = brute_force_inventory(rs, galois, order_bound, cap=cap)
@@ -99,7 +99,7 @@ def counterexample_search(
     place_subset,
     order_bound: int,
     remark_mode: bool = False,
-    cap: int = 10**6,
+    cap: int = DEFAULT_WORK_CAP,
 ):
     """Search the inventory for pairs locally equivalent on the given places
     but globally inequivalent; returns a Certificate or None.

@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import lcm
 
 from ._linalg import solve_in_basis, zspan_basis
-from .errors import InternalConsistencyError, InvalidInput
+from .errors import DEFAULT_WORK_CAP, InternalConsistencyError, InvalidInput
 from .galois import GaloisModel
 from .rootsys import RootSystem, product_root_system
 from .torus import TorusElement
-from .weyl import DiagramAut, WeylElement, torus_action
+from .weyl import DiagramAut, WeylElement, _transport_in_subsystem, torus_action
 from .endodata import (
     EndoscopicDatum,
     centralizer_roots,
@@ -98,20 +98,7 @@ def _standardizer(rs: RootSystem, s: TorusElement, r_basis) -> WeylElement:
                 refined_pos.add(r)
         elif r in rs.positives:
             refined_pos.add(r)
-    base = []
-    for r in sorted(refined_pos):
-        if not any(
-            tuple(a - b for a, b in zip(r, q)) in refined_pos
-            for q in refined_pos
-            if q != r
-        ):
-            base.append(r)
-    from .weyl import find_base_transport
-
-    w = find_base_transport(rs, base, rs.simple_roots)
-    if w is None:
-        raise InternalConsistencyError("refined positive system has no base transport")
-    return w
+    return _transport_in_subsystem(rs, refined_pos, rs.simple_roots, rs.positives)
 
 
 def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
@@ -291,7 +278,7 @@ def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) ->
     if r1.s != r2.s:
         from .endodata import _orbit_search
 
-        w0 = _orbit_search(d1.rs, r1.s, r2.s, 10**6)
+        w0 = _orbit_search(d1.rs, r1.s, r2.s, DEFAULT_WORK_CAP)
         if w0 is None:
             # no Weyl transport between the torus elements: both verdicts negative
             return before is False
@@ -345,11 +332,13 @@ def make_induced_model(
         raise InvalidInput("embedding must be injective on the subgroup")
     if emb[0] != 0:
         raise InvalidInput("embedding must send identity to identity")
-    back = {g: i for i, g in enumerate(emb)}
     for a in range(len(base_galois)):
         for b in range(len(base_galois)):
             if table[emb[a]][emb[b]] != emb[base_galois.table[a][b]]:
                 raise InvalidInput("embedding is not a homomorphism")
+    inverse = {x: y for x in range(n) for y in range(n) if table[x][y] == 0}
+    if len(inverse) != n:
+        raise InvalidInput("an ambient element has no inverse")
     sub = set(emb)
     # right cosets Gamma_1 \ Gamma, identity's coset first then by least element
     cosets = []
@@ -369,17 +358,6 @@ def make_induced_model(
         assigned = {y: k for k, c in enumerate(cosets) for y in c}
     k = len(reps)
     rho = [reps[assigned[x]] for x in range(n)]
-
-    def transfer(a: int, sigma: int) -> int:
-        """g(a, sigma) = a sigma rho(a sigma)^{-1}, as a base-group index."""
-        x = table[a][sigma]
-        r = rho[x]
-        rinv = next(y for y in range(n) if table[r][y] == 0)
-        g = table[x][rinv]
-        if g not in back:
-            raise InternalConsistencyError("transfer element left the subgroup")
-        return back[g]
-
     rs = product_root_system([base_rs.type] * k)
     block = {r: i for i, r in enumerate(reps)}
     nb = base_rs.rank
@@ -388,7 +366,7 @@ def make_induced_model(
         perm = [0] * (rs.rank + 1)
         for r in reps:
             target = rho[table[r][sigma]]
-            g = transfer(r, sigma)
+            g = _transfer(table, inverse.get, rho, emb, r, sigma)
             phi_g = base_galois.phi(g)
             for j in range(1, nb + 1):
                 # node (target, j') receives content from block `target`;
@@ -408,6 +386,16 @@ def make_induced_model(
         base_rs=base_rs,
         rho=tuple(rho),
     )
+
+
+def _transfer(table, inv, rho, embedding, a: int, sigma: int) -> int:
+    """g(a, sigma) = a sigma rho(a sigma)^{-1}, as a base-group index, where
+    ``inv`` inverts ambient elements and ``rho`` picks coset representatives."""
+    x = table[a][sigma]
+    g = table[x][inv(rho[x])]
+    if g not in embedding:
+        raise InternalConsistencyError("transfer element left the subgroup")
+    return embedding.index(g)
 
 
 def _block_embed(model: InducedModel, block: int, base_map: WeylElement) -> list:
@@ -432,7 +420,6 @@ def shapiro_induce(base_datum: EndoscopicDatum, model: InducedModel) -> Endoscop
         raise InvalidInput("base datum lives on a different root system")
     if not base_datum.galois.same_model(model.base_galois):
         raise InvalidInput("base datum lives over a different Galois model")
-    nb = model.base_rs.rank
     k = model.degree
     base = raw_form(base_datum)
     s1 = base.s
@@ -440,27 +427,16 @@ def shapiro_induce(base_datum: EndoscopicDatum, model: InducedModel) -> Endoscop
         tuple(s1.torsion) * k,
         tuple(s1.free) * k if s1.n_generators else None,
     )
-    table = model.galois.table
-    n = len(model.galois.names)
-    backmap = {g: i for i, g in enumerate(model.embedding)}
-    rho = model.rho
+    ambient = model.galois
     eta1 = [base.w_value(a) for a in range(len(model.base_galois))]
     family = []
-    for sigma in range(n):
-        blocks = []
-        for bi, r in enumerate(model.reps):
-            x = table[r][sigma]
-            rr = rho[x]
-            rinv = next(y for y in range(n) if table[rr][y] == 0)
-            g = table[x][rinv]
-            blocks.append(eta1[backmap[g]])
+    for sigma in range(len(ambient)):
         v_rows = []
-        for bi in range(k):
-            v_rows.extend(_block_embed(model, bi, blocks[bi]))
-        v_sigma = WeylElement(tuple(v_rows))
-        family.append(v_sigma * model.galois.phi_lattice(sigma))
-    datum = make_datum_from_family(model.rs, model.galois, s_ind, family, validate=True)
-    return datum
+        for bi, r in enumerate(model.reps):
+            g = _transfer(ambient.table, ambient.inv, model.rho, model.embedding, r, sigma)
+            v_rows.extend(_block_embed(model, bi, eta1[g]))
+        family.append(WeylElement(tuple(v_rows)) * ambient.phi_lattice(sigma))
+    return make_datum_from_family(model.rs, ambient, s_ind, family, validate=True)
 
 
 def shapiro_descend(induced_datum: EndoscopicDatum, model: InducedModel) -> EndoscopicDatum:

@@ -82,13 +82,7 @@ def datum_from_dict(data: dict) -> EndoscopicDatum:
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed datum: {exc}") from exc
     galois = build_galois_model(galois_spec, rs)
-    values = {}
-    for name, val in cocycle.items():
-        if isinstance(val, list) and val and isinstance(val[0], int):
-            values[name] = tuple(val)
-        else:
-            values[name] = [tuple(r) for r in val]
-    return make_datum(rs, galois, s, values)
+    return make_datum(rs, galois, s, cocycle)
 
 
 def load_datum(path: str) -> EndoscopicDatum:

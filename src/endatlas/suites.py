@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import DEFAULT_WORK_CAP, CapExceeded
 from .galois import GaloisModel, build_galois_model, places
 from .rootsys import RootSystem, build_root_system
 from .torus import TorusElement
@@ -53,7 +53,7 @@ def default_order_bound(rs: RootSystem, galois: GaloisModel) -> int:
     return 2 * best
 
 
-def bijection_suite(type_str: str, galois_spec, max_order=None, cap: int = 10**6) -> SuiteResult:
+def bijection_suite(type_str: str, galois_spec, max_order=None, cap: int = DEFAULT_WORK_CAP) -> SuiteResult:
     """classify_elliptic against the brute-force inventory, plus the round trip."""
     rs = build_root_system(type_str)
     galois = build_galois_model(galois_spec, rs)
@@ -86,7 +86,7 @@ def bijection_suite(type_str: str, galois_spec, max_order=None, cap: int = 10**6
     )
 
 
-def local_global_suite(type_str: str, galois_spec, max_order=None, cap: int = 10**6) -> SuiteResult:
+def local_global_suite(type_str: str, galois_spec, max_order=None, cap: int = DEFAULT_WORK_CAP) -> SuiteResult:
     rs = build_root_system(type_str)
     galois = build_galois_model(galois_spec, rs)
     bound = max_order or default_order_bound(rs, galois)

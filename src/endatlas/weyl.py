@@ -134,90 +134,97 @@ def _diagram_aut_of_delta_perm(rs: RootSystem, delta_images) -> DiagramAut:
     return DiagramAut((0,) + tuple(delta_images))
 
 
+def _reflection(rs: RootSystem, root) -> WeylElement:
+    """The reflection in a root as a lattice map, built once per root."""
+    cache = getattr(rs, "_reflections", None)
+    if cache is None:
+        cache = rs._reflections = {}
+    w = cache.get(root)
+    if w is None:
+        w = cache[root] = WeylElement(tuple(rs.reflect(root, a) for a in rs.simple_roots))
+    return w
+
+
 def simple_reflections(rs: RootSystem):
-    """The simple reflections s_1..s_n as lattice maps, built once per system."""
-    cached = getattr(rs, "_simple_reflections", None)
-    if cached is None:
-        cached = tuple(
-            WeylElement(tuple(rs.reflect_simple(j, rs.simple_roots[i]) for i in range(rs.rank)))
-            for j in range(rs.rank)
-        )
-        rs._simple_reflections = cached
-    return cached
+    """The simple reflections s_1..s_n as lattice maps."""
+    return tuple(_reflection(rs, a) for a in rs.simple_roots)
 
 
 # -- bases and chamber descent ------------------------------------------------
 
 
-def is_base(rs: RootSystem, vectors) -> bool:
-    """Whether the vectors form a base: independent, with every root an
-    all-nonnegative or all-nonpositive rational combination."""
-    vectors = list(vectors)
-    if len(vectors) != rs.rank:
-        return False
-    try:
-        coords = [solve_in_basis(vectors, r) for r in rs.all_roots]
-    except ValueError:
-        return False
-    for c in coords:
-        if c is None:
-            return False
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            return False
-    return True
-
-
-def _positive_system(rs: RootSystem, base) -> frozenset:
-    """Sigma^+(base): the roots that are nonnegative combinations of the base."""
+def positive_system(rs: RootSystem, roots, base):
+    """The roots of ``roots`` that are nonnegative rational combinations of
+    ``base``, or None when ``base`` is not a base of ``roots``: dependent
+    vectors, a root outside their span, or a root with mixed signs."""
+    base = list(base)
     pos = set()
-    for r in rs.all_roots:
-        c = solve_in_basis(list(base), r)
-        if c is None:
-            raise InvalidInput("input is not a base of the root system")
-        if all(x >= 0 for x in c):
-            pos.add(r)
-        elif not all(x <= 0 for x in c):
-            raise InvalidInput("input is not a base of the root system")
+    try:
+        for r in roots:
+            c = solve_in_basis(base, r)
+            if c is None:
+                return None
+            if all(x >= 0 for x in c):
+                pos.add(r)
+            elif not all(x <= 0 for x in c):
+                return None
+    except ValueError:
+        return None
     return frozenset(pos)
 
 
-def _descend_to_delta(rs: RootSystem, base) -> WeylElement:
-    """The unique w with w(base) = Delta, found by chamber descent.
+def is_base(rs: RootSystem, vectors) -> bool:
+    """Whether the vectors form a base of the whole root system."""
+    return positive_system(rs, rs.all_roots, vectors) is not None
 
-    At each step the lexicographically first simple root that is negative for
-    the transported base is reflected away; terminates within |Sigma^+| steps.
+
+def _transport_in_subsystem(rs: RootSystem, pos, target_base, target_pos) -> WeylElement:
+    """The element v of a subsystem's Weyl group with v(pos) = target_pos, for
+    two positive systems of one subsystem; ``target_base`` is the base of
+    ``target_pos``.
+
+    Chamber descent: each step reflects away the first target root that is
+    negative for the current positive system, so it ends within |pos| steps.
     """
-    pos = set(_positive_system(rs, base))
-    gens = simple_reflections(rs)
-    w = WeylElement.identity(rs.rank)
-    target = rs.positives
-    steps = 0
-    limit = len(target) + 1
-    while frozenset(pos) != target:
-        j = next(
-            (j for j in range(rs.rank) if vec_neg(rs.simple_roots[j]) in pos),
-            None,
-        )
-        if j is None:
+    pos = set(pos)
+    order = sorted(target_base)
+    v = WeylElement.identity(rs.rank)
+    steps, limit = 0, len(pos) + 1
+    while pos != target_pos:
+        t = next((t for t in order if vec_neg(t) in pos), None)
+        if t is None:
             raise InternalConsistencyError("descent stalled on a non-positive system")
-        pos = {rs.reflect_simple(j, r) for r in pos}
-        w = gens[j] * w
+        s_t = _reflection(rs, t)
+        pos = {s_t(r) for r in pos}
+        v = s_t * v
         steps += 1
         if steps > limit:
             raise InternalConsistencyError("descent failed to terminate")
-    return w
+    return v
 
 
 def find_base_transport(rs: RootSystem, source_base, target_base):
     """The unique w in W with w(source_base) = target_base as sets, else None."""
     source = [tuple(v) for v in source_base]
     target = [tuple(v) for v in target_base]
-    w1 = _descend_to_delta(rs, source)
-    w2 = _descend_to_delta(rs, target)
-    w = w2.inverse() * w1
+    source_pos = positive_system(rs, rs.all_roots, source)
+    target_pos = positive_system(rs, rs.all_roots, target)
+    if source_pos is None or target_pos is None:
+        raise InvalidInput("input is not a base of the root system")
+    w = _transport_in_subsystem(rs, source_pos, target, target_pos)
     if {w(v) for v in source} != set(target):
         return None
     return w
+
+
+def _descent_of(rs: RootSystem, lattice_map: WeylElement):
+    """For a map permuting the roots, the w in W with w(map(Sigma^+)) = Sigma^+;
+    None when the map does not permute the roots."""
+    images = {r: lattice_map(r) for r in rs.all_roots}
+    if set(images.values()) != rs.all_roots:
+        return None
+    pos = {images[r] for r in rs.positives}
+    return _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
 
 
 def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
@@ -226,11 +233,9 @@ def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
     The diagram part preserves Delta; it is the identity exactly when the map
     lies in W.  Raises when the map does not permute the root set.
     """
-    images = [lattice_map(r) for r in rs.all_roots]
-    if set(images) != set(rs.all_roots):
+    w = _descent_of(rs, lattice_map)
+    if w is None:
         raise InvalidInput("lattice map does not permute the root set")
-    image_base = [lattice_map(s) for s in rs.simple_roots]
-    w = _descend_to_delta(rs, image_base)
     residual = w * lattice_map  # preserves Delta setwise
     simple_index = {s: i + 1 for i, s in enumerate(rs.simple_roots)}
     delta_images = []
@@ -245,11 +250,8 @@ def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
 
 def weyl_part_if_member(rs: RootSystem, lattice_map: WeylElement):
     """The map itself when it lies in W, else None (works for product systems)."""
-    if {lattice_map(r) for r in rs.all_roots} != set(rs.all_roots):
-        return None
-    image_base = [lattice_map(s) for s in rs.simple_roots]
-    w = _descend_to_delta(rs, image_base)
-    return lattice_map if (w * lattice_map).is_identity() else None
+    w = _descent_of(rs, lattice_map)
+    return lattice_map if w is not None and (w * lattice_map).is_identity() else None
 
 
 # -- diagram automorphisms and Omega ------------------------------------------

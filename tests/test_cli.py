@@ -97,6 +97,28 @@ def test_equiv_singular_cocycle_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "type_str,value",
+    [
+        ("A2", [[1]]),
+        ("A2", [5, 0, 1]),
+        ("A2", "x"),
+        ("A2", [[1, 0], [0, 1], [1, 1]]),
+        ("A2", [[1, 1], [0, 1]]),  # unimodular, fixes s = 1, permutes no roots
+        ("C3", [2, 1, 0, 3]),  # swaps nodes of marks 1 and 2
+    ],
+    ids=["one-row", "not-a-permutation", "string", "extra-row", "off-the-roots",
+         "off-the-diagram"],
+)
+def test_equiv_malformed_cocycle_value_is_an_input_error(tmp_path, capsys, type_str, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "type": type_str, "galois": "c2:inner",
+        "s": {"torsion": ["0"] * int(type_str[1:])}, "cocycle": {"g": value},
+    }))
+    assert main(["equiv", str(bad), str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
     "error,code",
     [(InvalidInput, 2), (CapExceeded, 3), (InternalConsistencyError, 4)],
 )
@@ -143,6 +165,14 @@ def test_verify_restricted_places_certificate(capsys):
     ]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certificate"] is not None
+
+
+def test_classify_huge_cyclic_preset_hits_the_cap(monkeypatch, capsys):
+    def build(n):
+        raise AssertionError("the cyclic table was built")
+
+    monkeypatch.setattr("endatlas.galois._cyclic", build)
+    assert main(["classify", "--type", "A1", "--galois", "c1000000:inner"]) == 3
 
 
 def test_verify_needs_type(capsys):

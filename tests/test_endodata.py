@@ -2,6 +2,7 @@
 ellipticity of endoscopic data."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,7 @@ from endatlas.errors import InvalidInput
 from endatlas.galois import build_galois_model, places
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.weyl import WeylElement
+from endatlas.weyl import WeylElement, enumerate_weyl, torus_action
 from endatlas.endodata import (
     equivalent,
     equivalent_bruteforce,
@@ -18,9 +19,11 @@ from endatlas.endodata import (
     langlands_normalize,
     localize,
     make_datum,
+    make_datum_from_family,
     out_group,
     principal_datum,
     raw_form,
+    standard_bprime_base,
     transport_datum,
     witness_transports,
 )
@@ -222,6 +225,36 @@ def test_make_datum_rejects_unknown_element(a1):
         make_datum(a1, g, TorusElement([F(0)]), {7: WeylElement([(-1,)])})
     with pytest.raises(InvalidInput, match="more values"):
         make_datum(a1, g, TorusElement([F(0)]), [WeylElement([(1,)])] * 3)
+
+
+def _reflection_closure(rs, roots):
+    """The group generated by the reflections in ``roots``, by closure."""
+    gens = [WeylElement(tuple(rs.reflect(b, a) for a in rs.simple_roots)) for b in roots]
+    group = {WeylElement.identity(rs.rank)}
+    frontier = list(group)
+    while frontier:
+        frontier = {g * h for h in frontier for g in gens} - group
+        group |= frontier
+    return group
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_borel_canonicalization_against_reflection_closure(name):
+    """For s on the order-4 grid and each w in W fixing s, the stored action
+    preserves the standard Borel and differs from w by an element of the
+    centralizer's Weyl group."""
+    rs = build_root_system(name)
+    trivial = build_galois_model("trivial", rs)
+    for coords in product(range(4), repeat=rs.rank):
+        s = TorusElement([F(c, 4) for c in coords])
+        base = standard_bprime_base(rs, s)
+        sub_weyl = _reflection_closure(rs, base)
+        for w in enumerate_weyl(rs):
+            if torus_action(w, s) != s:
+                continue
+            (a,) = make_datum_from_family(rs, trivial, s, [w]).family
+            assert {a(b) for b in base} == set(base)
+            assert a * w.inverse() in sub_weyl
 
 
 def test_raw_form_preserves_identity(c2):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from endatlas.errors import InvalidInput
+from endatlas.errors import CapExceeded, InvalidInput
 from endatlas.galois import (
     build_galois_model,
     enumerate_cocycles,
@@ -27,6 +27,15 @@ def test_cyclic_inner_presets(a1):
         m = build_galois_model(f"c{n}:inner", a1)
         assert len(m) == n
         assert all(aut.is_identity() for aut in m.action)
+
+
+def test_huge_cyclic_preset_raises_before_building(a1, monkeypatch):
+    def build(n):
+        raise AssertionError("the cyclic table was built")
+
+    monkeypatch.setattr("endatlas.galois._cyclic", build)
+    with pytest.raises(CapExceeded):
+        build_galois_model("c1000000:inner", a1)
 
 
 def test_c2_outer_on_a2(a2):

@@ -69,6 +69,10 @@ def test_embedding_validation(a1):
     z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     with pytest.raises(InvalidInput, match="homomorphism"):
         make_induced_model(base, ["e", "a", "b", "c"], z4, [0, 1])
+    trivial = build_galois_model("trivial", a1)
+    with pytest.raises(InvalidInput, match="inverse"):
+        # g . g = g: the ambient table is no group
+        make_induced_model(trivial, ["e", "g"], [[0, 1], [1, 1]], [0])
 
 
 @pytest.mark.parametrize("base_type", ["A1", "A2"])

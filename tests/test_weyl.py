@@ -12,6 +12,7 @@ from endatlas.weyl import (
     DiagramAut,
     WeylElement,
     enumerate_affine_automorphisms,
+    enumerate_delta_automorphisms,
     enumerate_weyl,
     find_base_transport,
     is_base,
@@ -19,6 +20,7 @@ from endatlas.weyl import (
     omega_group,
     torus_action,
     weyl_membership,
+    weyl_part_if_member,
 )
 
 from conftest import omega_sending_zero_to
@@ -137,6 +139,21 @@ def test_random_weyl_base_roundtrip(name):
         base = [w(v) for v in rs.simple_roots]
         t = find_base_transport(rs, base, rs.simple_roots)
         assert {t(v) for v in base} == set(rs.simple_roots)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_descent_recovers_every_weyl_element(name):
+    """Base transport and the Weyl/diagram factorization against the
+    enumerated group: each element of W, and each twist by a diagram
+    automorphism, is recovered exactly."""
+    rs = build_root_system(name)
+    delta = rs.simple_roots
+    auts = enumerate_delta_automorphisms(rs)
+    for w in enumerate_weyl(rs):
+        assert find_base_transport(rs, [w(a) for a in delta], delta) == w.inverse()
+        assert weyl_part_if_member(rs, w) == w
+        for d in auts:
+            assert weyl_membership(rs, w * d.lattice(rs)) == (w, d)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
