@@ -3,6 +3,12 @@
 Everything in the package is lattice-level: vectors are tuples of ints (roots
 in the simple-root basis) or Fractions.  Sizes are tiny (rank <= 8, at most a
 few dozen vectors), so clarity beats asymptotics throughout.
+
+The hot paths stay on integers: ``integer_gauss_jordan`` is a fraction-free
+(Bareiss) elimination whose divisions are all exact, so it inverts unimodular
+lattice maps and turns a base into one integer functional per coordinate
+without making a single Fraction.  ``solve_in_basis`` is the Fraction solver
+for the remaining callers.
 """
 
 from __future__ import annotations
@@ -26,6 +32,34 @@ def vec_neg(x: Vec) -> Vec:
 
 def vec_scale(c, x: Vec) -> Vec:
     return tuple(c * a for a in x)
+
+
+def integer_gauss_jordan(rows, k):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over Z on the first
+    ``k`` columns of an integer matrix.
+
+    Returns ``(d, out)`` with ``out = E . rows`` for an integer row operation E,
+    where the first ``k`` columns of ``out`` are d * I_k stacked over zero rows
+    and d is a k-by-k minor of ``rows`` up to sign.  Returns None when those
+    columns are linearly dependent.  Every division is exact, because each
+    entry is a minor of ``rows``.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    prev = 1
+    for c in range(k):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return None
+        m[c], m[pr] = m[pr], m[c]
+        piv_row = m[c]
+        pv = piv_row[c]
+        for i in range(n):
+            f = m[i][c]
+            if i != c and (f or pv != prev):
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], piv_row)]
+        prev = pv
+    return prev, m
 
 
 def solve_in_basis(basis, target):

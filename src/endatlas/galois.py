@@ -275,6 +275,10 @@ def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
         action_spec = dict(data.get("action", {}))
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed galois model: {exc}") from exc
+    n = len(names)
+    if n**3 > DEFAULT_WORK_CAP:
+        # the associativity check of the table takes n^3 steps
+        raise CapExceeded(f"galois table of order {n} exceeds the work cap {DEFAULT_WORK_CAP}")
     unknown = sorted(str(k) for k in set(action_spec) - {str(nm) for nm in names})
     if unknown:
         raise InvalidInput(f"action names unknown elements {unknown}")

@@ -4,12 +4,20 @@ The dual group is adjoint, so a torus element is determined by its values on
 the simple roots.  Each value splits as a root of unity, written additively as
 a fraction in Q/Z with zeta_n corresponding to 1/n, plus a free part: a vector
 of rational exponents over a fixed list of abstractly independent generators.
+
+Evaluation runs on integers: each element builds, on first use, a view with
+one common denominator D of its torsion values and one common denominator E
+of its free exponents, and the numerators over them.  ``value_at`` is then
+integer dot products, the torsion one reduced mod D, and only its result is
+made into Fractions.  The Fraction fields ``torsion`` and ``free`` stay the
+public representation, so ``key()`` and serialization do not change.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InvalidInput
 
@@ -19,7 +27,7 @@ def _mod1(x: Fraction) -> Fraction:
 
 
 class TorusElement:
-    __slots__ = ("torsion", "free")
+    __slots__ = ("torsion", "free", "_int")
 
     def __init__(self, torsion, free=None):
         torsion = tuple(_mod1(Fraction(t)) for t in torsion)
@@ -34,6 +42,17 @@ class TorusElement:
                 raise InvalidInput("free parts must share one generator list")
         self.torsion = torsion
         self.free = free
+        self._int = None
+
+    @classmethod
+    def _reduced(cls, torsion, free) -> "TorusElement":
+        """An element from torsion Fractions already in [0, 1) and free parts
+        already tuples of Fractions of one length; nothing is re-normalized."""
+        self = object.__new__(cls)
+        self.torsion = torsion
+        self.free = free
+        self._int = None
+        return self
 
     @classmethod
     def identity(cls, rank: int) -> "TorusElement":
@@ -47,17 +66,25 @@ class TorusElement:
     def n_generators(self) -> int:
         return len(self.free[0]) if self.free else 0
 
+    def _integer_view(self):
+        """(D, torsion numerators over D, E, per generator the free numerators over E)."""
+        den = lcm(1, *(t.denominator for t in self.torsion))
+        tnum = tuple(t.numerator * (den // t.denominator) for t in self.torsion)
+        fden = lcm(1, *(x.denominator for f in self.free for x in f))
+        fnum = tuple(
+            tuple(x.numerator * (fden // x.denominator) for x in col)
+            for col in zip(*self.free)
+        )
+        self._int = (den, tnum, fden, fnum)
+        return self._int
+
     def value_at(self, root):
         """alpha(s) for a root in the Delta-basis: (torsion mod 1, free vector)."""
-        t = Fraction(0)
-        m = self.n_generators
-        f = [Fraction(0)] * m
-        for c, ti, fi in zip(root, self.torsion, self.free):
-            if c:
-                t += c * ti
-                for k in range(m):
-                    f[k] += c * fi[k]
-        return _mod1(t), tuple(f)
+        den, tnum, fden, fnum = self._int or self._integer_view()
+        t = Fraction(sum(map(mul, root, tnum)) % den, den)
+        if not fnum:
+            return t, ()
+        return t, tuple(Fraction(sum(map(mul, root, col)), fden) for col in fnum)
 
     def is_finite_order(self) -> bool:
         return all(not any(f) for f in self.free)

@@ -8,9 +8,9 @@ of these tuples, which gives a canonical, hashable normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
-from ._linalg import solve_in_basis, vec_neg
+from ._linalg import integer_gauss_jordan, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
 from .rootsys import RootSystem
 from .torus import TorusElement
@@ -43,27 +43,16 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         if self._inv is None:
+            # fraction-free Gauss-Jordan on [A | I] ends at [d.I | d.A^-1]
             n = len(self.images)
-            rows = [[Fraction(self.images[i][j]) for j in range(n)] for i in range(n)]
-            aug = [row + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(rows)]
-            for c in range(n):
-                pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-                if pr is None:
-                    raise InvalidInput("lattice map is singular")
-                aug[c], aug[pr] = aug[pr], aug[c]
-                pv = aug[c][c]
-                aug[c] = [x / pv for x in aug[c]]
-                for i in range(n):
-                    if i != c and aug[i][c] != 0:
-                        f = aug[i][c]
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-            inv = []
-            for i in range(n):
-                row = aug[i][n:]
-                if any(x.denominator != 1 for x in row):
-                    raise InvalidInput("lattice map is not unimodular")
-                inv.append(tuple(int(x) for x in row))
-            self._inv = WeylElement(tuple(inv))
+            aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.images)]
+            reduced = integer_gauss_jordan(aug, n)
+            if reduced is None:
+                raise InvalidInput("lattice map is singular")
+            d, rows = reduced
+            if d not in (1, -1):
+                raise InvalidInput("lattice map is not unimodular")
+            self._inv = WeylElement(tuple(tuple(d * x for x in row[n:]) for row in rows))
             self._inv._inv = self
         return self._inv
 
@@ -156,20 +145,32 @@ def simple_reflections(rs: RootSystem):
 def positive_system(rs: RootSystem, roots, base):
     """The roots of ``roots`` that are nonnegative rational combinations of
     ``base``, or None when ``base`` is not a base of ``roots``: dependent
-    vectors, a root outside their span, or a root with mixed signs."""
+    vectors, a root outside their span, or a root with mixed signs.
+
+    One integer elimination of [B^T | I] per base gives coordinate rows P,
+    span-check rows Z and a determinant d: a root r lies in the span iff
+    Z.r = 0, and its coordinates have the signs of sign(d).P.r.
+    """
     base = list(base)
-    pos = set()
-    try:
-        for r in roots:
-            c = solve_in_basis(base, r)
-            if c is None:
-                return None
-            if all(x >= 0 for x in c):
-                pos.add(r)
-            elif not all(x <= 0 for x in c):
-                return None
-    except ValueError:
+    k = len(base)
+    n = rs.rank
+    aug = [[b[i] for b in base] + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced = integer_gauss_jordan(aug, k)
+    if reduced is None:
         return None
+    d, rows = reduced
+    sign = 1 if d > 0 else -1
+    coords = [[sign * x for x in row[k:]] for row in rows[:k]]
+    span = [row[k:] for row in rows[k:]]
+    pos = set()
+    for r in roots:
+        if any(sum(map(mul, z, r)) for z in span):
+            return None
+        c = [sum(map(mul, p, r)) for p in coords]
+        if all(x >= 0 for x in c):
+            pos.add(r)
+        elif not all(x <= 0 for x in c):
+            return None
     return frozenset(pos)
 
 
@@ -208,7 +209,10 @@ def find_base_transport(rs: RootSystem, source_base, target_base):
     source = [tuple(v) for v in source_base]
     target = [tuple(v) for v in target_base]
     source_pos = positive_system(rs, rs.all_roots, source)
-    target_pos = positive_system(rs, rs.all_roots, target)
+    if len(target) == rs.rank and set(target) == set(rs.simple_roots):
+        target_pos = rs.positives
+    else:
+        target_pos = positive_system(rs, rs.all_roots, target)
     if source_pos is None or target_pos is None:
         raise InvalidInput("input is not a base of the root system")
     w = _transport_in_subsystem(rs, source_pos, target, target_pos)
@@ -396,11 +400,5 @@ def torus_action(w, s: TorusElement, rs: RootSystem | None = None) -> TorusEleme
             raise InvalidInput("torus action by a diagram automorphism needs the root system")
         w = w.lattice(rs)
     winv = w.inverse()
-    n = len(winv.images)
-    torsion = []
-    free = []
-    for i in range(n):
-        t, f = s.value_at(winv.images[i])
-        torsion.append(t)
-        free.append(f)
-    return TorusElement(tuple(torsion), tuple(free))
+    torsion, free = zip(*map(s.value_at, winv.images))
+    return TorusElement._reduced(torsion, free)

@@ -1,6 +1,8 @@
 """Exit codes, determinism, and file handling of the command line."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,20 @@ def test_classify_deterministic(capsys):
     first = capsys.readouterr().out
     main(["classify", "--type", "A2", "--galois", "c3:inner"])
     assert capsys.readouterr().out == first
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "endbench" / "expected.json"
+
+
+@pytest.mark.parametrize(
+    "type_name,spec",
+    [("E8", "trivial"), ("D4", "s3"), ("C3", "c2:inner"), ("A5", "c2:outer"), ("E6", "c3:inner")],
+)
+def test_classify_bytes_match_recorded_digests(type_name, spec, capsys):
+    """The JSON tables are byte-identical to the recorded sha256 digests."""
+    want = json.loads(EXPECTED.read_text(encoding="utf-8"))["classify"][f"{type_name}/{spec}"]
+    assert main(["classify", "--type", type_name, "--galois", spec, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
 
 
 def test_equiv_same_file(rotation_files, capsys):
@@ -173,6 +189,22 @@ def test_classify_huge_cyclic_preset_hits_the_cap(monkeypatch, capsys):
 
     monkeypatch.setattr("endatlas.galois._cyclic", build)
     assert main(["classify", "--type", "A1", "--galois", "c1000000:inner"]) == 3
+
+
+def test_classify_huge_galois_table_file_hits_the_cap(tmp_path, monkeypatch, capsys):
+    n = 101  # n^3 just above the default work cap
+    table = {
+        "elements": [f"g{i}" for i in range(n)],
+        "table": [[(i + j) % n for j in range(n)] for i in range(n)],
+    }
+    path = tmp_path / "c101.json"
+    path.write_text(json.dumps(table))
+
+    def build(*args, **kwargs):
+        raise AssertionError("the table was checked")
+
+    monkeypatch.setattr("endatlas.galois.GaloisModel", build)
+    assert main(["classify", "--type", "A1", "--galois", f"table:{path}"]) == 3
 
 
 def test_verify_needs_type(capsys):

@@ -1,6 +1,7 @@
 """Layer normalization, equivalence with its brute-force oracle, Out, and
 ellipticity of endoscopic data."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -144,6 +145,63 @@ def test_equivalent_agrees_with_brute_force(type_name, galois_spec, bound):
             assert (fast is None) == (slow is None), (i, j)
             if fast is not None:
                 assert witness_transports(data[i], data[j], fast)
+
+
+# every preset that exists on rank <= 3 (c3:outer and s3 need D4)
+DIFFERENTIAL_CONFIGS = [
+    ("A1", "trivial"), ("A1", "c2:inner"), ("A1", "c4:inner"),
+    ("A2", "c3:inner"), ("A2", "c2:outer"), ("B2", "c2:inner"), ("C2", "c4:inner"),
+    ("G2", "c2:inner"), ("A3", "c2:outer"), ("A3", "c3:inner"),
+    ("B3", "c2:inner"), ("C3", "trivial"),
+]
+
+
+def test_equivalent_agrees_with_brute_force_on_random_data():
+    """The layer/Omega criterion against exhaustive Weyl search on random
+    finite-order data: a datum against another family on the same s, against
+    a random W-conjugate of such a datum, or against a datum on another s of
+    the same order."""
+    from endatlas.elliptic import _families_fixing
+    from endatlas.endodata import EndoscopicDatum
+
+    def random_datum(rs, g, n):
+        s = TorusElement([F(rng.randrange(n), n) for _ in range(rs.rank)])
+        fams = _families_fixing(rs, g, s, enumerate_weyl(rs))
+        if not fams:
+            return None
+        return EndoscopicDatum(
+            rs, g, s, rng.choice(fams), standard_bprime_base(rs, s), _validate=False
+        )
+
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(150):
+        type_name, spec = rng.choice(DIFFERENTIAL_CONFIGS)
+        rs = build_root_system(type_name)
+        g = build_galois_model(spec, rs)
+        n = rng.choice((1, 2, 3, 4, 6))
+        d1 = random_datum(rs, g, n)
+        if d1 is None:
+            continue
+        mode = rng.randrange(3)
+        if mode == 2:
+            d2 = random_datum(rs, g, n)
+            if d2 is None:
+                continue
+        else:
+            fams = _families_fixing(rs, g, d1.s, enumerate_weyl(rs))
+            d2 = EndoscopicDatum(
+                rs, g, d1.s, rng.choice(fams), d1.bprime_base, _validate=False
+            )
+            if mode == 1:
+                d2 = transport_datum(d2, rng.choice(enumerate_weyl(rs)))
+        fast = equivalent(d1, d2)
+        slow = equivalent_bruteforce(d1, d2)
+        assert (fast is None) == (slow is None), (type_name, spec, s, d1.family, d2.family)
+        if fast is not None:
+            assert witness_transports(d1, d2, fast)
+        verdicts.add(fast is None)
+    assert verdicts == {True, False}
 
 
 def test_out_group_sizes(a1, a2):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
+from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
+from endatlas.weyl import WeylElement, simple_reflections, torus_action
 
 F = Fraction
 
@@ -64,3 +66,58 @@ def test_free_parts_must_align():
 def test_identity():
     assert TorusElement.identity(3).is_identity()
     assert not TorusElement([F(1, 2), F(0)]).is_identity()
+
+
+def fraction_value_at(s, vec):
+    """Reference evaluation: the Fraction formula, coordinate by coordinate."""
+    t = sum((c * ti for c, ti in zip(vec, s.torsion)), F(0))
+    free = tuple(
+        sum((c * fi[k] for c, fi in zip(vec, s.free)), F(0)) for k in range(s.n_generators)
+    )
+    return t - (t.numerator // t.denominator), free
+
+
+@st.composite
+def torus_elements(draw, rank):
+    n_gens = draw(st.integers(0, 2))
+    torsion = draw(st.lists(fractions, min_size=rank, max_size=rank))
+    free = draw(st.lists(
+        st.tuples(*[fractions] * n_gens), min_size=rank, max_size=rank
+    ))
+    return TorusElement(torsion, free)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        torus_elements(n), st.tuples(*[st.integers(-4, 4)] * n)
+    )
+))
+def test_value_at_matches_fraction_formula(case):
+    s, vec = case
+    t, free = s.value_at(vec)
+    assert (t, free) == fraction_value_at(s, vec)
+    assert type(t) is F and all(type(x) is F for x in free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "C3", "D4"]).flatmap(
+    lambda name: st.tuples(
+        st.just(build_root_system(name)),
+        st.lists(st.integers(0, 7), max_size=10),
+        torus_elements(build_root_system(name).rank),
+    )
+))
+def test_torus_action_matches_fraction_formula(case):
+    """w.s has the oracle's torsion and free parts, exactly as the public
+    constructor would normalize them."""
+    rs, word, s = case
+    w = WeylElement.identity(rs.rank)
+    for j in word:
+        w = simple_reflections(rs)[j % rs.rank] * w
+    moved = torus_action(w, s)
+    values = [fraction_value_at(s, row) for row in w.inverse().images]
+    expected = TorusElement([t for t, _ in values], [f for _, f in values])
+    assert (moved.torsion, moved.free) == (expected.torsion, expected.free)
+    assert moved == expected and hash(moved) == hash(expected)
+    assert torus_action(w.inverse(), moved) == s

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from endatlas._linalg import solve_in_basis
 from endatlas.errors import InvalidInput
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
@@ -17,6 +20,8 @@ from endatlas.weyl import (
     find_base_transport,
     is_base,
     omega_by_node,
+    positive_system,
+    simple_reflections,
     omega_group,
     torus_action,
     weyl_membership,
@@ -200,3 +205,147 @@ def test_torus_action_with_free_parts(a2):
 def test_omega_by_node_is_bijection(d4):
     table = omega_by_node(d4)
     assert sorted(table) == [n for n in d4.affine_nodes if d4.marks[n] == 1]
+
+
+# -- integer fast paths against their Fraction oracles -------------------------
+
+
+def fraction_inverse(images):
+    """Reference inverse: Gauss-Jordan over Q on the image rows."""
+    n = len(images)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(images)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pr is None:
+            raise InvalidInput("lattice map is singular")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    rows = [row[n:] for row in aug]
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise InvalidInput("lattice map is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def fraction_positive_system(roots, base):
+    """Reference positivity test: one solve over Q per root."""
+    pos = set()
+    try:
+        for r in roots:
+            c = solve_in_basis(list(base), r)
+            if c is None:
+                return None
+            if all(x >= 0 for x in c):
+                pos.add(r)
+            elif not all(x <= 0 for x in c):
+                return None
+    except ValueError:
+        return None
+    return frozenset(pos)
+
+
+def inverse_outcome(fn, images):
+    try:
+        return fn(images)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+WORD_TYPES = ["A1", "A2", "B2", "C2", "A3", "B3", "C3", "G2", "D4", "E8"]
+
+
+@st.composite
+def weyl_words(draw):
+    rs = build_root_system(draw(st.sampled_from(WORD_TYPES)))
+    longest = 4 if rs.rank == 8 else 12
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=longest))
+    w = WeylElement.identity(rs.rank)
+    gens = simple_reflections(rs)
+    for j in word:
+        w = gens[j] * w
+    return rs, WeylElement(w.images)  # a fresh element, no cached inverse
+
+
+@settings(max_examples=80, deadline=None)
+@given(weyl_words())
+def test_inverse_of_weyl_words_matches_fraction_oracle(rs_w):
+    rs, w = rs_w
+    inv = w.inverse()
+    assert inv.images == fraction_inverse(w.images)
+    assert (w * inv).is_identity() and inv.inverse() is w
+
+
+@st.composite
+def unimodular_maps(draw):
+    """Products of elementary integer row operations: unimodular, mostly not in W."""
+    n = draw(st.integers(1, 5))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            f = draw(st.integers(-3, 3))
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_maps())
+def test_inverse_of_unimodular_maps_matches_fraction_oracle(images):
+    assert WeylElement(images).inverse().images == fraction_inverse(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+))
+def test_inverse_of_arbitrary_maps_matches_fraction_oracle(rows):
+    """Singular and non-unimodular maps raise the oracle's message; the rest invert."""
+    images = tuple(tuple(row) for row in rows)
+    got = inverse_outcome(lambda m: WeylElement(m).inverse().images, images)
+    assert got == inverse_outcome(fraction_inverse, images)
+
+
+POSITIVITY_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
+
+
+@st.composite
+def positivity_cases(draw):
+    """A base candidate and a root set: Weyl images of subsets of Delta with
+    their subsystem or all roots, or random root lists (dependent sets,
+    out-of-span roots, mixed signs)."""
+    rs = build_root_system(draw(st.sampled_from(POSITIVITY_TYPES)))
+    roots = sorted(rs.all_roots)
+    if draw(st.booleans()):
+        w = WeylElement.identity(rs.rank)
+        for j in draw(st.lists(st.integers(0, rs.rank - 1), max_size=8)):
+            w = simple_reflections(rs)[j] * w
+        mask = draw(st.lists(st.booleans(), min_size=rs.rank, max_size=rs.rank))
+        base = [w(a) for a, keep in zip(rs.simple_roots, mask) if keep]
+        sub = [w(r) for r in roots if all(keep or not x for x, keep in zip(r, mask))]
+        pool = draw(st.sampled_from([sub, roots])) or roots
+    else:
+        base = draw(st.lists(st.sampled_from(roots), max_size=rs.rank + 1))
+        pool = roots
+    if draw(st.booleans()):
+        # an empty root set is left out: the oracle calls any base a base of it
+        pool = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return rs, pool, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(positivity_cases())
+def test_positive_system_matches_per_root_solves(case):
+    rs, roots, base = case
+    assert positive_system(rs, roots, base) == fraction_positive_system(roots, base)
