@@ -1,25 +1,25 @@
-"""Exact linear algebra over Q and Z.
+"""Exact linear algebra over Z, with Fractions only at the edges.
 
 Everything in the package is lattice-level: vectors are tuples of ints (roots
-in the simple-root basis) or Fractions.  Sizes are tiny (rank <= 8, at most a
-few dozen vectors), so clarity beats asymptotics throughout.
+in the simple-root basis).  Sizes are tiny (rank <= 8, at most a few dozen
+vectors), so clarity beats asymptotics throughout.
 
-The hot paths stay on integers: ``integer_gauss_jordan`` is a fraction-free
-(Bareiss) elimination whose divisions are all exact, so it inverts unimodular
-lattice maps and turns a base into one integer functional per coordinate
-without making a single Fraction.  ``solve_in_basis`` is the Fraction solver
-for the remaining callers.
+There is one elimination, ``integer_gauss_jordan``: a fraction-free (Bareiss)
+Gauss-Jordan over Z whose divisions are all exact.  It inverts unimodular
+lattice maps, and ``span_functionals`` turns an independent set into integer
+span checks and coordinate functionals, on which ``rank``, ``solve_in_basis``,
+``fixed_space_dimension`` and ``integer_cone_order`` are built.  Only
+``solve_in_basis`` takes and returns Fractions, scaling its input by a common
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Vec = tuple
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Vec, y: Vec) -> Vec:
@@ -30,100 +30,95 @@ def vec_neg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
-def vec_scale(c, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
+def dot(x, y) -> int:
+    return sum(map(mul, x, y))
 
 
 def integer_gauss_jordan(rows, k):
     """Fraction-free (Bareiss) Gauss-Jordan elimination over Z on the first
-    ``k`` columns of an integer matrix.
+    ``k`` columns of an integer matrix; columns without a pivot are skipped.
 
-    Returns ``(d, out)`` with ``out = E . rows`` for an integer row operation E,
-    where the first ``k`` columns of ``out`` are d * I_k stacked over zero rows
-    and d is a k-by-k minor of ``rows`` up to sign.  Returns None when those
-    columns are linearly dependent.  Every division is exact, because each
-    entry is a minor of ``rows``.
+    Returns ``(d, pivots, out)`` with ``out = E . rows`` for an integer row
+    operation E.  Row i of ``out`` has d in column ``pivots[i]`` and 0 in the
+    other pivot columns; the rows below ``len(pivots)`` are zero on the first
+    ``k`` columns.  d is a minor of ``rows`` up to sign (1 with no pivot).
+    Every division is exact, because each entry is a minor of ``rows``.
     """
     m = [list(r) for r in rows]
     n = len(m)
     prev = 1
+    pivots = []
     for c in range(k):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if m[i][c]), None)
         if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        piv_row = m[c]
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv_row = m[r]
         pv = piv_row[c]
         for i in range(n):
             f = m[i][c]
-            if i != c and (f or pv != prev):
+            if i != r and (f or pv != prev):
                 m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], piv_row)]
         prev = pv
-    return prev, m
+        pivots.append(c)
+    return prev, pivots, m
+
+
+def span_functionals(basis, dim: int):
+    """Integer functionals of independent vectors in Z^dim: ``(d, P, Z)`` such
+    that v lies in their span iff Z.v = 0, and its coordinates are then
+    P.v / d.  None when the vectors are dependent.
+
+    One elimination of [B^T | I] ends at [E.B^T | E] with E.B^T = [d.I ; 0],
+    so P and Z are the top and bottom rows of E.
+    """
+    k = len(basis)
+    aug = [[b[i] for b in basis] + [int(i == j) for j in range(dim)] for i in range(dim)]
+    d, pivots, rows = integer_gauss_jordan(aug, k)
+    if len(pivots) < k:
+        return None
+    return d, [row[k:] for row in rows[:k]], [row[k:] for row in rows[k:]]
 
 
 def solve_in_basis(basis, target):
     """Coordinates of ``target`` over Q in the given independent ``basis``.
 
-    Returns a tuple of Fractions, or None when target is outside the span.
+    Entries may be ints or Fractions.  Returns a tuple of Fractions, or None
+    when target is outside the span.
     """
-    if not basis:
-        return () if not any(target) else None
-    n = len(target)
-    k = len(basis)
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(n)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) != k:
+    den = lcm(1, *(x.denominator for v in (*basis, target) for x in v))
+    fn = span_functionals([[int(x * den) for x in b] for b in basis], len(target))
+    if fn is None:
         raise ValueError("basis vectors are linearly dependent")
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    coords = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        coords[c] = rows[i][k]
-    return tuple(coords)
+    d, coords, span = fn
+    t = [int(x * den) for x in target]
+    if any(dot(z, t) for z in span):
+        return None
+    return tuple(Fraction(dot(p, t), d) for p in coords)
+
+
+def integer_cone_order(basis, dim: int):
+    """``leq(a, b)``: whether b - a is a nonnegative integer combination of
+    the independent ``basis`` in Z^dim.  The elimination runs once, here."""
+    fn = span_functionals(basis, dim)
+    if fn is None:
+        raise ValueError("basis vectors are linearly dependent")
+    d, coords, span = fn
+
+    def leq(a, b) -> bool:
+        diff = vec_sub(b, a)
+        if any(dot(z, diff) for z in span):
+            return False
+        return all(x % d == 0 and x // d >= 0 for x in (dot(p, diff) for p in coords))
+
+    return leq
 
 
 def rank(vectors) -> int:
-    """Rank over Q of a list of vectors."""
-    vectors = [v for v in vectors]
-    if not vectors:
-        return 0
-    n = len(vectors[0])
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rk = 0
-    for c in range(n):
-        pr = next((i for i in range(rk, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[rk], rows[pr] = rows[pr], rows[rk]
-        pv = rows[rk][c]
-        rows[rk] = [x / pv for x in rows[rk]]
-        for i in range(len(rows)):
-            if i != rk and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk
-
-
-def matrix_rank(rows) -> int:
-    return rank(list(rows))
+    """Rank over Q of a list of integer vectors."""
+    rows = [list(v) for v in vectors]
+    return len(integer_gauss_jordan(rows, len(rows[0]))[1]) if rows else 0
 
 
 def zspan_basis(vectors):
@@ -185,13 +180,7 @@ def fixed_space_dimension(matrices, dim: int) -> int:
     """Dimension of the common fixed space of a finite group of lattice maps.
 
     ``matrices`` are row-image matrices (row i = image of basis vector i);
-    the average over the group is the projector onto the fixed subspace.
+    their sum is |G| times the projector onto the fixed subspace.
     """
     mats = list(matrices)
-    g = len(mats)
-    avg = [[Fraction(0)] * dim for _ in range(dim)]
-    for m in mats:
-        for i in range(dim):
-            for j in range(dim):
-                avg[i][j] += Fraction(m[i][j], g)
-    return matrix_rank(avg)
+    return rank([[sum(m[i][j] for m in mats) for j in range(dim)] for i in range(dim)])

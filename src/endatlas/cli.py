@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
-    except (InvalidInput, FileNotFoundError) as exc:
+    except (InvalidInput, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except InternalConsistencyError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import solve_in_basis, zspan_basis, zspan_contains
+from ._linalg import integer_cone_order, solve_in_basis, zspan_basis, zspan_contains
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, enumerate_cocycles
 from .rootsys import RootSystem, subdiagram_components, weyl_order
@@ -70,10 +70,8 @@ def _orbit_of(node: int, perms) -> frozenset:
 def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
     n = len(galois)
     sp = [pair.cocycle.sigma_prime(galois, a) for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if sp[galois.table[a][b]].perm != sp[a].compose(sp[b]).perm:
-                raise InvalidInput("pair cocycle is not a cocycle")
+    if not galois.is_homomorphism(sp):
+        raise InvalidInput("pair cocycle is not a cocycle")
     if not pair.orbit:
         raise InvalidInput("orbit must be nonempty")
     if _orbit_of(min(pair.orbit), sp) != pair.orbit:
@@ -274,13 +272,7 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
         if s.value_at(r) == (Fraction(1, d), ())
     ]
 
-    def leq(a, b):
-        diff = tuple(x - y for x, y in zip(b, a))
-        if not any(diff):
-            return True
-        c = solve_in_basis(dual_vecs, diff) if dual_vecs else None
-        return c is not None and all(x >= 0 and x.denominator == 1 for x in c)
-
+    leq = integer_cone_order(dual_vecs, rs.rank)
     minimal = {
         r for r in frak_s if not any(q != r and leq(q, r) for q in frak_s)
     }
@@ -341,8 +333,7 @@ def _canonical_s_reps(rs: RootSystem, order_bound: int):
 def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_list):
     """All Borel-normalized cocycle families fixing s, each a list of composite
     actions: candidates w . phi(a) over ``weyl_list`` that fix s, moved to keep
-    the standard Borel, combined on the generators and kept when they satisfy
-    the cocycle identity."""
+    the standard Borel, and combined by ``GaloisModel.homomorphisms``."""
     sub_pos, base = _standard_borel(rs, s)
     n = len(galois)
     cands = []
@@ -358,32 +349,7 @@ def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_
         if not ca:
             return []
         cands.append(sorted(ca.values(), key=lambda m: m.images))
-    allowed = [{m.images for m in c} for c in cands]
-    gens = galois.generating_set()
-    words = galois.words()
-    out = []
-    seen = set()
-    for choice in product(*(cands[g] for g in gens)):
-        gen_val = dict(zip(gens, choice))
-        family = []
-        for e in range(n):
-            cur = WeylElement.identity(rs.rank)
-            for g in words[e]:
-                cur = cur * gen_val[g]
-            family.append(cur)
-        if not all(
-            family[galois.table[a][b]] == family[a] * family[b]
-            for a in range(n)
-            for b in range(n)
-        ):
-            continue
-        if not all(family[a].images in allowed[a] for a in range(n)):
-            continue
-        key = tuple(f.images for f in family)
-        if key not in seen:
-            seen.add(key)
-            out.append(family)
-    return out
+    return list(galois.homomorphisms(cands, WeylElement.identity(rs.rank)))
 
 
 def brute_force_inventory(

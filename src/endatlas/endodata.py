@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._linalg import fixed_space_dimension, solve_in_basis, zspan_basis, zspan_contains
+from ._linalg import fixed_space_dimension, integer_cone_order, zspan_basis, zspan_contains
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, Place, restrict_model
 from .rootsys import RootSystem
@@ -111,12 +111,10 @@ class EndoscopicDatum:
             raise InvalidInput("cocycle must assign a value to every group element")
         if not self.family[0].is_identity():
             raise InvalidInput("the identity must act as the identity")
-        for a in range(n):
-            for b in range(n):
-                if self.family[self.galois.table[a][b]] != self.family[a] * self.family[b]:
-                    raise InvalidInput(
-                        "cocycle identity fails: the composite actions are not a homomorphism"
-                    )
+        if not self.galois.is_homomorphism(self.family):
+            raise InvalidInput(
+                "cocycle identity fails: the composite actions are not a homomorphism"
+            )
         for a in range(n):
             if torus_action(self.family[a], self.s) != self.s:
                 raise InvalidInput("the composite action does not fix s")
@@ -283,19 +281,11 @@ def _layers(rs: RootSystem, s: TorusElement, base):
             raise InternalConsistencyError("root value of order not dividing ord(s)")
         ys[int(t * d) % d].add(r)
 
-    def leq(a, b):
-        diff = tuple(x - y for x, y in zip(b, a))
-        if not any(diff):
-            return True
-        if not base:
-            return False
-        c = solve_in_basis(list(base), diff)
-        return c is not None and all(x >= 0 and x.denominator == 1 for x in c)
-
+    leq = integer_cone_order(base, rs.rank)
     layers = [frozenset(base)]
     span_so_far = list(ys[0])
     for k in range(1, d):
-        basis = zspan_basis(span_so_far)
+        basis = zspan_basis(span_so_far) if ys[k] else []
         zk = [r for r in ys[k] if not (basis and zspan_contains(basis, r))]
         minimal = [r for r in zk if not any(q != r and leq(q, r) for q in zk)]
         layers.append(frozenset(minimal))
@@ -417,6 +407,16 @@ def _orbit_search(rs: RootSystem, s1: TorusElement, s2: TorusElement, cap: int):
     return None
 
 
+def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int):
+    """(w0, r1, r2): the raw forms with r1 transported by w0 onto the torus
+    element of r2, or None when no Weyl element carries one to the other."""
+    r1, r2 = raw_form(d1), raw_form(d2)
+    w0 = _orbit_search(d1.rs, r1.s, r2.s, cap)
+    if w0 is None:
+        return None
+    return w0, (r1 if r1.s == r2.s else transport_datum(r1, w0)), r2
+
+
 def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement) -> bool:
     """Soundness of a witness: transporting d1 by w reproduces d2 exactly."""
     r1, r2 = raw_form(d1), raw_form(d2)
@@ -438,11 +438,10 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK
         return _equivalent_infinite(d1, d2, cap)
     if not d1.rs.is_simple:
         return equivalent_bruteforce(d1, d2)
-    r1, r2 = raw_form(d1), raw_form(d2)
-    w0 = _orbit_search(d1.rs, r1.s, r2.s, cap)
-    if w0 is None:
+    reconciled = _reconcile(d1, d2, cap)
+    if reconciled is None:
         return None
-    r1 = transport_datum(r1, w0)
+    w0, r1, r2 = reconciled
     n1, ld1 = langlands_normalize(r1)
     n2, ld2 = langlands_normalize(r2)
     if ld1.shape != ld2.shape or ld1.layers != ld2.layers:
@@ -475,14 +474,10 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK
 def _equivalent_infinite(d1, d2, cap):
     from .reduction import finite_order_reduction
 
-    r1, r2 = raw_form(d1), raw_form(d2)
-    if r1.s != r2.s:
-        w0 = _orbit_search(d1.rs, r1.s, r2.s, cap)
-        if w0 is None:
-            return None
-        r1 = transport_datum(r1, w0)
-    else:
-        w0 = WeylElement.identity(d1.rs.rank)
+    reconciled = _reconcile(d1, d2, cap)
+    if reconciled is None:
+        return None
+    w0, r1, r2 = reconciled
     red1, red2, _plan = finite_order_reduction(r1, r2)
     w = equivalent(red1, red2, cap)
     if w is None:

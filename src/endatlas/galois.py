@@ -36,7 +36,7 @@ class GaloisModel:
             raise InvalidInput("element names must be nonempty and distinct")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise InvalidInput("multiplication table has wrong shape")
-        if any(x < 0 or x >= n for row in self.table for x in row):
+        if any(not isinstance(x, int) or x < 0 or x >= n for row in self.table for x in row):
             raise InvalidInput("multiplication table entries out of range")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
             raise InvalidInput("element 0 must be the identity")
@@ -68,26 +68,14 @@ class GaloisModel:
                             raise InvalidInput("action does not preserve the diagram")
         if not self.action[0].is_identity():
             raise InvalidInput("identity must act trivially")
-        for a in range(n):
-            for b in range(n):
-                if self.action[self.table[a][b]].perm != self.action[a].compose(self.action[b]).perm:
-                    raise InvalidInput("diagram action is not a homomorphism")
+        if not self.is_homomorphism(self.action):
+            raise InvalidInput("diagram action is not a homomorphism")
 
     def __len__(self):
         return len(self.names)
 
-    def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return next(b for b in range(len(self)) if self.table[a][b] == 0)
-
-    def order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
 
     def phi(self, a: int) -> DiagramAut:
         return self.action[a]
@@ -137,6 +125,32 @@ class GaloisModel:
         if len(word) != len(self):
             raise InternalConsistencyError("generating set does not generate")
         return word
+
+    def is_homomorphism(self, values) -> bool:
+        """Whether values[a . b] = values[a] * values[b] for all elements a, b."""
+        n = len(self)
+        return all(
+            values[self.table[a][b]] == values[a] * values[b] for a in range(n) for b in range(n)
+        )
+
+    def homomorphisms(self, candidates, identity):
+        """Every homomorphism f with f(a) in candidates[a] for each element a,
+        in the order of the product of the generators' candidate lists: values
+        are chosen on the generating set, extended along words and kept when
+        they satisfy the table."""
+        gens = self.generating_set()
+        words = self.words()
+        allowed = [set(c) for c in candidates]
+        for choice in product(*(candidates[g] for g in gens)):
+            value = dict(zip(gens, choice))
+            family = []
+            for e in range(len(self)):
+                cur = identity
+                for g in words[e]:
+                    cur = cur * value[g]
+                family.append(cur)
+            if self.is_homomorphism(family) and all(f in ok for f, ok in zip(family, allowed)):
+                yield family
 
     def subgroup_elements(self, gen: int):
         out = [0]
@@ -196,32 +210,17 @@ def build_galois_model(spec, rs: RootSystem) -> GaloisModel:
     raise InvalidInput("galois spec must be a preset name or a model dict")
 
 
-def _identity_auts(rs, n):
-    ident = DiagramAut(tuple(range(rs.rank + 1)))
-    return [ident] * n
-
-
 def _preset_model(name: str, rs: RootSystem) -> GaloisModel:
     name = name.strip()
     if name == "trivial":
-        return GaloisModel(["e"], [[0]], _identity_auts(rs, 1), rs)
+        return GaloisModel(["e"], [[0]], [DiagramAut.identity(rs.rank)], rs)
     if name == "s3":
         if not (rs.is_simple and str(rs.type) == "D4"):
             raise InvalidInput("preset 's3' needs type D4 (Aut of the diagram is S3 only there)")
         rot = DiagramAut((0, 3, 2, 4, 1))   # fixes a2 and a0, cycles a1, a3, a4
         flip = DiagramAut((0, 1, 2, 4, 3))  # swaps a3, a4
-        table = _s3_table()
-        by_word = {0: DiagramAut(tuple(range(5)))}
-        action = []
-        enc = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-        for a, b in enc:
-            aut = DiagramAut(tuple(range(5)))
-            for _ in range(a):
-                aut = aut.compose(rot)
-            if b:
-                aut = aut.compose(flip)
-            action.append(aut)
-        return GaloisModel(_S3_NAMES, table, action, rs)
+        action = [DiagramAut.identity(4), rot, rot * rot, flip, rot * flip, rot * rot * flip]
+        return GaloisModel(_S3_NAMES, _s3_table(), action, rs)
     if ":" in name:
         base, variant = name.split(":", 1)
         if base.startswith("c") and base[1:].isdigit():
@@ -233,14 +232,14 @@ def _preset_model(name: str, rs: RootSystem) -> GaloisModel:
                 raise CapExceeded(f"cyclic preset of order {n} exceeds the work cap {DEFAULT_WORK_CAP}")
             names, table = _cyclic(n)
             if variant == "inner":
-                return GaloisModel(names, table, _identity_auts(rs, n), rs)
+                return GaloisModel(names, table, [DiagramAut.identity(rs.rank)] * n, rs)
             if variant == "outer":
                 gen_aut = _outer_generator(rs, n)
                 action = []
-                cur = DiagramAut(tuple(range(rs.rank + 1)))
+                cur = DiagramAut.identity(rs.rank)
                 for _ in range(n):
                     action.append(cur)
-                    cur = cur.compose(gen_aut)
+                    cur = cur * gen_aut
                 return GaloisModel(names, table, action, rs)
     raise InvalidInput(f"unknown galois preset {name!r}")
 
@@ -273,7 +272,7 @@ def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
         names = list(data["elements"])
         table = [list(r) for r in data["table"]]
         action_spec = dict(data.get("action", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed galois model: {exc}") from exc
     n = len(names)
     if n**3 > DEFAULT_WORK_CAP:
@@ -286,9 +285,10 @@ def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
     for nm in names:
         perm = action_spec.get(str(nm))
         if perm is None:
-            action.append(DiagramAut(tuple(range(rs.rank + 1))))
+            action.append(DiagramAut.identity(rs.rank))
         else:
-            if sorted(perm) != list(range(1, rs.rank + 1)):
+            ints = isinstance(perm, (list, tuple)) and all(isinstance(x, int) for x in perm)
+            if not ints or sorted(perm) != list(range(1, rs.rank + 1)):
                 raise InvalidInput(
                     f"action for {nm!r} must permute the simple nodes 1..{rs.rank}"
                 )
@@ -308,9 +308,17 @@ def model_to_dict(model: GaloisModel) -> dict:
     }
 
 
-def load_galois_model(path: str, rs: RootSystem) -> GaloisModel:
+def read_json(path: str):
+    """The JSON document in a file; a malformed one is an input error."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh), rs)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"not valid JSON: {exc}") from exc
+
+
+def load_galois_model(path: str, rs: RootSystem) -> GaloisModel:
+    return model_from_dict(read_json(path), rs)
 
 
 # -- places --------------------------------------------------------------------
@@ -391,53 +399,18 @@ class Cocycle:
         """The composite automorphism value(a) . phi(a) of the completed diagram."""
         return self.values[a].compose(model.phi(a))
 
-    def is_trivial(self) -> bool:
-        return all(v.is_identity() for v in self.values)
-
     def key(self):
         return tuple(v.perm for v in self.values)
 
 
 def enumerate_cocycles(model: GaloisModel, omega_elements) -> list[Cocycle]:
     """All maps c with c(st) = c(s) . phi(s) c(t) phi(s)^{-1}, i.e. exactly those
-    for which sigma -> c(sigma) phi(sigma) is a homomorphism into Aut(D_a).
-
-    Values are assigned on a generating set and propagated through the table.
-    """
+    for which sigma -> c(sigma) phi(sigma) is a homomorphism into Aut(D_a)."""
     omega_auts = [om.aut for om in omega_elements]
-    omega_perms = {a.perm for a in omega_auts}
     n = len(model)
-    gens = model.generating_set()
-    words = model.words()
-    ident = DiagramAut(tuple(range(model.rs.rank + 1)))
-    results = []
-    for choice in product(omega_auts, repeat=len(gens)):
-        gen_val = dict(zip(gens, choice))
-        # sigma' = c(sigma) phi(sigma); build along words, then check globally
-        sp = {0: model.phi(0)}
-        ok = True
-        for e in range(n):
-            cur = ident
-            for g in words[e]:
-                cur = cur.compose(gen_val[g].compose(model.phi(g)))
-            sp[e] = cur
-        for a in range(n):
-            for b in range(n):
-                if sp[model.table[a][b]].perm != sp[a].compose(sp[b]).perm:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        vals = []
-        for e in range(n):
-            v = sp[e].compose(model.phi(e).inverse())
-            if v.perm not in omega_perms:
-                ok = False
-                break
-            vals.append(v)
-        if ok:
-            results.append(Cocycle(tuple(vals)))
-    uniq = {c.key(): c for c in results}
-    return [uniq[k] for k in sorted(uniq)]
+    cands = [[w * model.phi(a) for w in omega_auts] for a in range(n)]
+    found = (
+        Cocycle(tuple(sp[a] * model.phi(a).inverse() for a in range(n)))
+        for sp in model.homomorphisms(cands, DiagramAut.identity(model.rs.rank))
+    )
+    return sorted(found, key=Cocycle.key)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import solve_in_basis, zspan_basis
+from ._linalg import solve_in_basis, zspan_basis, zspan_contains
 from .errors import DEFAULT_WORK_CAP, InternalConsistencyError, InvalidInput
 from .galois import GaloisModel
 from .rootsys import RootSystem, product_root_system
@@ -23,6 +23,7 @@ from .torus import TorusElement
 from .weyl import DiagramAut, WeylElement, _transport_in_subsystem, torus_action
 from .endodata import (
     EndoscopicDatum,
+    _reconcile,
     centralizer_roots,
     equivalent,
     equivalent_bruteforce,
@@ -123,8 +124,6 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     # Levi standardness: Sigma^M must be the span of Delta^M inside Sigma
     span_vecs = [rs.simple_roots[i - 1] for i in delta_fixed]
     basis = zspan_basis(span_vecs)
-    from ._linalg import zspan_contains
-
     span_m = {
         r for r in rs.all_roots if basis and zspan_contains(basis, r)
     } if span_vecs else set()
@@ -274,16 +273,11 @@ def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) ->
     """Equivalence verdicts before (direct Weyl search) and after the reduction
     (layer criterion on the reduced data) must agree; False falsifies."""
     before = equivalent_bruteforce(d1, d2) is not None
-    r1, r2 = raw_form(d1), raw_form(d2)
-    if r1.s != r2.s:
-        from .endodata import _orbit_search
-
-        w0 = _orbit_search(d1.rs, r1.s, r2.s, DEFAULT_WORK_CAP)
-        if w0 is None:
-            # no Weyl transport between the torus elements: both verdicts negative
-            return before is False
-        r1 = transport_datum(r1, w0)
-    red1, red2, _ = finite_order_reduction(r1, r2)
+    reconciled = _reconcile(d1, d2, DEFAULT_WORK_CAP)
+    if reconciled is None:
+        # no Weyl transport between the torus elements: both verdicts negative
+        return before is False
+    red1, red2, _ = finite_order_reduction(*reconciled[1:])
     after = equivalent(red1, red2) is not None
     return before == after
 

@@ -17,7 +17,7 @@ from math import factorial
 
 from ._linalg import rank as q_rank
 from ._linalg import vec_neg, vec_sub
-from .errors import InvalidInput
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InvalidInput
 
 _ADMISSIBLE_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
 _ADMISSIBILITY_RULE = (
@@ -131,6 +131,10 @@ class RootSystem:
         self.is_simple = self.type is not None
         self.rank = sum(ct.rank for ct, _ in self.components)
         n = self.rank
+        n_pos = sum(_positive_root_count(ct) for ct, _ in self.components)
+        if n_pos**2 * n > DEFAULT_WORK_CAP:
+            # the chamber descents behind Omega and base transport grow as |Phi+|^2 . rank
+            raise CapExceeded(f"root system of rank {n} exceeds the work cap {DEFAULT_WORK_CAP}")
         m = [[0] * n for _ in range(n)]
         for ct, off in self.components:
             block = cartan_matrix(ct)
@@ -414,6 +418,14 @@ def weyl_order(ct: CartanType) -> int:
     if ct.family == "F":
         return 1152
     return 12
+
+
+def _positive_root_count(ct: CartanType) -> int:
+    """|Phi+| = rank . h / 2, with h the Coxeter number."""
+    n = ct.rank
+    coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2,
+               "E": {6: 12, 7: 18, 8: 30}.get(n), "F": 12, "G": 6}
+    return n * coxeter[ct.family] // 2
 
 
 ALL_TYPES_THROUGH_RANK_8 = tuple(

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .galois import GaloisModel, build_galois_model, model_to_dict
+from .galois import GaloisModel, build_galois_model, model_to_dict, read_json
 from .rootsys import build_root_system
 from .torus import TorusElement
 from .weyl import WeylElement
@@ -44,15 +44,15 @@ def torus_to_dict(s: TorusElement) -> dict:
 def torus_from_dict(data: dict, rank: int) -> TorusElement:
     try:
         torsion = [parse_fraction(t) for t in data["torsion"]]
+        free = data.get("free")
+        if free is not None:
+            free = [[parse_fraction(x) for x in f] for f in free]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed torus element: {exc}") from exc
     if len(torsion) != rank:
         raise InvalidInput(f"torus element has {len(torsion)} coordinates, need {rank}")
-    free = data.get("free")
-    if free is not None:
-        free = [[parse_fraction(x) for x in f] for f in free]
-        if not any(any(f) for f in free):
-            free = None
+    if free is not None and not any(any(f) for f in free):
+        free = None
     return TorusElement(torsion, free)
 
 
@@ -75,23 +75,18 @@ def datum_to_dict(datum: EndoscopicDatum) -> dict:
 
 def datum_from_dict(data: dict) -> EndoscopicDatum:
     try:
-        rs = build_root_system(str(data["type"]))
-        galois_spec = data["galois"]
-        s = torus_from_dict(data["s"], rs.rank)
+        type_str, galois_spec, s_spec = str(data["type"]), data["galois"], data["s"]
         cocycle = dict(data.get("cocycle", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed datum: {exc}") from exc
+    rs = build_root_system(type_str)
+    s = torus_from_dict(s_spec, rs.rank)
     galois = build_galois_model(galois_spec, rs)
     return make_datum(rs, galois, s, cocycle)
 
 
 def load_datum(path: str) -> EndoscopicDatum:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"not valid JSON: {exc}") from exc
-    return datum_from_dict(data)
+    return datum_from_dict(read_json(path))
 
 
 def dumps(obj) -> str:

@@ -8,9 +8,8 @@ of these tuples, which gives a canonical, hashable normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
-from ._linalg import integer_gauss_jordan, vec_neg
+from ._linalg import dot, integer_gauss_jordan, span_functionals, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
 from .rootsys import RootSystem
 from .torus import TorusElement
@@ -46,10 +45,9 @@ class WeylElement:
             # fraction-free Gauss-Jordan on [A | I] ends at [d.I | d.A^-1]
             n = len(self.images)
             aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.images)]
-            reduced = integer_gauss_jordan(aug, n)
-            if reduced is None:
+            d, pivots, rows = integer_gauss_jordan(aug, n)
+            if len(pivots) < n:
                 raise InvalidInput("lattice map is singular")
-            d, rows = reduced
             if d not in (1, -1):
                 raise InvalidInput("lattice map is not unimodular")
             self._inv = WeylElement(tuple(tuple(d * x for x in row[n:]) for row in rows))
@@ -79,8 +77,14 @@ class DiagramAut:
     def __call__(self, node: int) -> int:
         return self.perm[node]
 
+    @classmethod
+    def identity(cls, rank: int) -> "DiagramAut":
+        return cls(tuple(range(rank + 1)))
+
     def compose(self, other: "DiagramAut") -> "DiagramAut":
         return DiagramAut(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
+
+    __mul__ = compose
 
     def inverse(self) -> "DiagramAut":
         inv = [0] * len(self.perm)
@@ -118,11 +122,6 @@ class OmegaElement:
         return self.aut(node)
 
 
-def _diagram_aut_of_delta_perm(rs: RootSystem, delta_images) -> DiagramAut:
-    """Extend a permutation of simple nodes (1..n images) to the affine diagram."""
-    return DiagramAut((0,) + tuple(delta_images))
-
-
 def _reflection(rs: RootSystem, root) -> WeylElement:
     """The reflection in a root as a lattice map, built once per root."""
     cache = getattr(rs, "_reflections", None)
@@ -147,26 +146,20 @@ def positive_system(rs: RootSystem, roots, base):
     ``base``, or None when ``base`` is not a base of ``roots``: dependent
     vectors, a root outside their span, or a root with mixed signs.
 
-    One integer elimination of [B^T | I] per base gives coordinate rows P,
-    span-check rows Z and a determinant d: a root r lies in the span iff
-    Z.r = 0, and its coordinates have the signs of sign(d).P.r.
+    One elimination per base (``span_functionals``): a root r lies in the
+    span iff Z.r = 0, and its coordinates have the signs of sign(d).P.r.
     """
-    base = list(base)
-    k = len(base)
-    n = rs.rank
-    aug = [[b[i] for b in base] + [int(i == j) for j in range(n)] for i in range(n)]
-    reduced = integer_gauss_jordan(aug, k)
-    if reduced is None:
+    fn = span_functionals(list(base), rs.rank)
+    if fn is None:
         return None
-    d, rows = reduced
-    sign = 1 if d > 0 else -1
-    coords = [[sign * x for x in row[k:]] for row in rows[:k]]
-    span = [row[k:] for row in rows[k:]]
+    d, coords, span = fn
+    if d < 0:
+        coords = [[-x for x in p] for p in coords]
     pos = set()
     for r in roots:
-        if any(sum(map(mul, z, r)) for z in span):
+        if any(dot(z, r) for z in span):
             return None
-        c = [sum(map(mul, p, r)) for p in coords]
+        c = [dot(p, r) for p in coords]
         if all(x >= 0 for x in c):
             pos.add(r)
         elif not all(x <= 0 for x in c):
@@ -249,7 +242,7 @@ def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
         if node is None:
             raise InternalConsistencyError("residual map does not preserve Delta")
         delta_images.append(node)
-    return w.inverse(), _diagram_aut_of_delta_perm(rs, delta_images)
+    return w.inverse(), DiagramAut((0,) + tuple(delta_images))
 
 
 def weyl_part_if_member(rs: RootSystem, lattice_map: WeylElement):

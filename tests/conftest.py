@@ -54,3 +54,45 @@ def a2_rotation_data(rs_a2):
     d1 = make_datum(rs_a2, galois, s, {"g1": r1.aut, "g2": r2.aut})
     d2 = make_datum(rs_a2, galois, s, {"g1": r2.aut, "g2": r1.aut})
     return d1, d2, galois
+
+
+# -- Fraction references for the integer elimination ----------------------------
+
+
+def fraction_row_reduce(rows, k):
+    """Gauss-Jordan over Q on the first k columns; returns (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_rank(vectors):
+    vectors = list(vectors)
+    return len(fraction_row_reduce(vectors, len(vectors[0]))[1]) if vectors else 0
+
+
+def fraction_solve(basis, target):
+    """Coordinates over Q of target in an independent basis, or None outside
+    its span; ValueError for a dependent basis."""
+    k = len(basis)
+    rows, pivots = fraction_row_reduce(
+        [[b[i] for b in basis] + [target[i]] for i in range(len(target))], k
+    )
+    if len(pivots) != k:
+        raise ValueError("basis vectors are linearly dependent")
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return tuple(rows[i][k] for i in range(k))

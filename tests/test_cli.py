@@ -1,10 +1,13 @@
 """Exit codes, determinism, and file handling of the command line."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endatlas.cli import main
 from endatlas.errors import CapExceeded, InternalConsistencyError, InvalidInput
@@ -132,6 +135,112 @@ def test_equiv_malformed_cocycle_value_is_an_input_error(tmp_path, capsys, type_
         "s": {"torsion": ["0"] * int(type_str[1:])}, "cocycle": {"g": value},
     }))
     assert main(["equiv", str(bad), str(bad)]) == 2
+
+
+# A2 over Z/2 acting by the diagram flip, inline model, nontrivial cocycle
+OUTER_DATUM = {
+    "type": "A2",
+    "galois": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]], "action": {"g": [2, 1]}},
+    "s": {"torsion": ["1/2", "0"], "free": [[], []]},
+    "cocycle": {"g": [[0, -1], [-1, 0]]},
+}
+# B2 with a free part, so equivalence goes through the finite-order reduction
+FREE_DATUM = {
+    "type": "B2",
+    "galois": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]},
+    "s": {"torsion": ["1/4", "0"], "free": [["1"], ["0"]]},
+    "cocycle": {"g": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("cocycle",), "ab"),
+        (("galois", "action", "g"), 5),
+        (("galois", "table"), [[0, "x"], [1, 0]]),
+        (("s", "free"), 5),
+    ],
+    ids=["cocycle-string", "action-int", "table-string-entry", "free-int"],
+)
+def test_equiv_malformed_datum_is_an_input_error(tmp_path, capsys, path, value):
+    data = copy.deepcopy(OUTER_DATUM)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["equiv", str(bad), str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"elements": ["e", "g"], "table": [[0, "x"], [1, 0]]}', '{"elements": ["e", "g"], "tab', None],
+    ids=["table-string-entry", "truncated-json", "directory"],
+)
+def test_classify_malformed_galois_table_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "model.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main(["classify", "--type", "A1", "--galois", f"table:{path}"]) == 2
+
+
+def test_equiv_of_the_fuzz_seeds_is_reflexive(tmp_path, capsys):
+    for i, data in enumerate((OUTER_DATUM, FREE_DATUM)):
+        f = tmp_path / f"d{i}.json"
+        f.write_text(json.dumps(data))
+        assert main(["equiv", str(f), str(f)]) == 0
+
+
+def _paths(obj, prefix=()):
+    """Every key path into nested dicts and lists, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+JUNK = st.one_of(
+    st.integers(-3, 6),
+    st.integers(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-2, 4), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 3), max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def mutated_data(draw):
+    data = copy.deepcopy(draw(st.sampled_from([OUTER_DATUM, FREE_DATUM])))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(JUNK)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_data())
+def test_equiv_on_mutated_data_exits_cleanly(tmp_path_factory, data):
+    """A datum file with junk at random places: equiv of the file with
+    itself answers equivalent (0), or refuses it with exit 2 or 3."""
+    f = tmp_path_factory.mktemp("fuzz") / "d.json"
+    f.write_text(json.dumps(data))
+    assert main(["equiv", str(f), str(f)]) in (0, 2, 3)
+
+
+def test_classify_rank_beyond_the_cap_exits_quickly(monkeypatch, capsys):
+    def generate(self):
+        raise AssertionError("the roots were generated")
+
+    monkeypatch.setattr("endatlas.rootsys.RootSystem._generate_roots", generate)
+    assert main(["classify", "--type", "A40", "--galois", "trivial"]) == 3
 
 
 @pytest.mark.parametrize(

@@ -258,3 +258,37 @@ def test_injectivity_inequivalent_pairs_give_inequivalent_data(type_name, galois
             pv = pair_equivalent(rs, g, pairs[i], pairs[j]) is not None
             dv = equivalent(data[i], data[j]) is not None
             assert pv == dv, (sorted(pairs[i].orbit), sorted(pairs[j].orbit))
+
+
+@pytest.mark.parametrize(
+    "type_name,galois_spec",
+    [("A1", "c2:inner"), ("A2", "c3:inner"), ("A2", "c2:outer")],
+)
+def test_families_fixing_against_the_filtered_product(type_name, galois_spec):
+    """Oracle: every choice of one Borel-normalized candidate per element,
+    kept when it is a homomorphism.  The generator of these cyclic groups is
+    element 1 and the identity has one candidate, so the product order over
+    all elements is the order ``_families_fixing`` promises."""
+    from itertools import product
+
+    from endatlas.elliptic import _canonical_s_reps, _families_fixing
+    from endatlas.endodata import _standard_borel, canonicalize_action
+    from endatlas.weyl import enumerate_weyl, torus_action
+
+    rs = build_root_system(type_name)
+    g = build_galois_model(galois_spec, rs)
+    W = enumerate_weyl(rs)
+    n = len(g)
+    for s in _canonical_s_reps(rs, 4):
+        sub_pos, base = _standard_borel(rs, s)
+        cands = []
+        for a in range(n):
+            fixing = [w * g.phi_lattice(a) for w in W]
+            fixing = [canonicalize_action(rs, sub_pos, base, m)
+                      for m in fixing if torus_action(m, s) == s]
+            cands.append(sorted(set(fixing), key=lambda m: m.images))
+        want = [
+            list(f) for f in product(*cands)
+            if all(f[g.table[a][b]] == f[a] * f[b] for a in range(n) for b in range(n))
+        ]
+        assert _families_fixing(rs, g, s, W) == want

@@ -322,3 +322,22 @@ def test_raw_form_preserves_identity(c2):
     back = raw_form(nd)
     assert back.s == nd.s
     assert equivalent(back, d) is not None
+
+
+def test_layers_skip_the_span_basis_for_empty_level_sets(a1, monkeypatch):
+    """s = 1/4 on A1 has Y_2 empty; its layer needs no Z-span basis."""
+    import endatlas.endodata as endodata
+
+    calls = []
+    real = endodata.zspan_basis
+
+    def counting(vectors):
+        calls.append(list(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(endodata, "zspan_basis", counting)
+    d, layers, level_sets = endodata._layers(a1, TorusElement([F(1, 4)]), ())
+    assert d == 4 and [len(y) for y in level_sets] == [0, 1, 0, 1]
+    # -alpha lies in the span of Y_1, so the last layer is empty as well
+    assert layers == (frozenset(), frozenset({(1,)}), frozenset(), frozenset())
+    assert len(calls) == 2

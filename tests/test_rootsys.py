@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endatlas.errors import InvalidInput
+from endatlas.errors import CapExceeded, InvalidInput
 from endatlas.rootsys import (
     ALL_TYPES_THROUGH_RANK_8,
     CartanType,
+    _positive_root_count,
     affine_diagram,
     build_root_system,
     subdiagram_components,
@@ -30,6 +31,7 @@ def test_root_counts_match_classical(ct):
     rs = build_root_system(ct)
     assert len(rs.all_roots) == CLASSICAL_COUNT[ct.family](ct.rank)
     assert len(rs.positives) * 2 == len(rs.all_roots)
+    assert len(rs.positives) == _positive_root_count(ct)
 
 
 @pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
@@ -190,3 +192,13 @@ def test_reflection_closure_and_pairing(name, data):
     q = data.draw(st.sampled_from(roots))
     assert isinstance(rs.pairing(r, q), int)
     assert rs.reflect(q, r) in rs.all_roots
+
+
+@pytest.mark.parametrize("name", ["A21", "A40", "B16", "D17"])
+def test_rank_beyond_the_work_cap_is_refused_before_building(name, monkeypatch):
+    def generate(self):
+        raise AssertionError("the roots were generated")
+
+    monkeypatch.setattr("endatlas.rootsys.RootSystem._generate_roots", generate)
+    with pytest.raises(CapExceeded, match="work cap"):
+        build_root_system(name)

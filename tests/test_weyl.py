@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endatlas._linalg import solve_in_basis
 from endatlas.errors import InvalidInput
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
@@ -28,7 +27,7 @@ from endatlas.weyl import (
     weyl_part_if_member,
 )
 
-from conftest import omega_sending_zero_to
+from conftest import fraction_solve, omega_sending_zero_to
 
 
 def simple_reflection(rs, j):
@@ -237,7 +236,7 @@ def fraction_positive_system(roots, base):
     pos = set()
     try:
         for r in roots:
-            c = solve_in_basis(list(base), r)
+            c = fraction_solve(list(base), r)
             if c is None:
                 return None
             if all(x >= 0 for x in c):
