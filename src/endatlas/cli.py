@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
-from .galois import build_galois_model, load_galois_model, places
+from .galois import build_galois_model, places
 from .rootsys import build_root_system
 from .endodata import equivalent
 from .elliptic import classify_elliptic
@@ -63,7 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--type", help="Cartan type (bijection/local-global; base type for shapiro)")
     ver.add_argument("--galois", help="preset name or table:PATH")
     ver.add_argument("--max-order", type=int, default=None)
-    ver.add_argument("--cap-orbit", type=int, default=DEFAULT_WORK_CAP)
+    ver.add_argument(
+        "--cap-orbit", type=int, default=DEFAULT_WORK_CAP,
+        help="cost cap of the brute-force inventory (bijection, local-global, --places); "
+        "the Galois-order and rank caps stay at 10^6",
+    )
     ver.add_argument("--places", help="comma-separated generators restricting the place family")
     ver.add_argument("--format", choices=("json", "md"), default="json")
     ver.add_argument("--out", help="write the report here instead of stdout")
@@ -78,15 +82,9 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _galois_arg(spec: str, rs):
-    if spec.startswith("table:"):
-        return load_galois_model(spec[len("table:"):], rs)
-    return build_galois_model(spec, rs)
-
-
 def _cmd_classify(args) -> int:
     rs = build_root_system(args.type)
-    galois = _galois_arg(args.galois, rs)
+    galois = build_galois_model(args.galois, rs)
     report = classify_elliptic(rs, galois)
     if args.format == "json":
         _emit(dumps(report_to_dict(report)), args.out)
@@ -124,7 +122,7 @@ def _cmd_verify(args) -> int:
         extra = {}
         if args.suite == "local-global" and args.places:
             rs = build_root_system(args.type)
-            galois = _galois_arg(args.galois, rs)
+            galois = build_galois_model(args.galois, rs)
             wanted = {x.strip() for x in args.places.split(",")}
             subset = [p for p in places(galois) if galois.names[p.generator] in wanted]
             if not subset:

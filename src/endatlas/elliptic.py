@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from ._linalg import integer_cone_order, solve_in_basis, zspan_basis, zspan_contains
+from ._linalg import integer_cone_order, vec_neg, zspan_basis, zspan_contains
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, enumerate_cocycles
 from .rootsys import RootSystem, subdiagram_components, weyl_order
 from .torus import TorusElement
 from .weyl import (
     WeylElement,
+    alcove_form,
     enumerate_weyl,
     omega_conjugating,
     omega_group,
-    simple_reflections,
+    positive_system,
     torus_action,
 )
 from .endodata import (
@@ -120,19 +121,8 @@ def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> En
         want = Fraction(1, d) if node in pair.orbit else Fraction(0)
         if t != want:
             raise InternalConsistencyError("s does not extend correctly to the diagram")
-    layers = [frozenset(base)] + [frozenset()] * (d - 1)
-    layers[1] = frozenset(rs.node_root(i) for i in pair.orbit)
-    level_sets = [set() for _ in range(d)]
-    for r in rs.all_roots:
-        t, _ = s.value_at(r)
-        level_sets[int(t * d) % d].add(r)
-    ld = LanglandsData(
-        d=d,
-        layers=tuple(layers),
-        level_sets=tuple(frozenset(y) for y in level_sets),
-        shape="DeltaA",
-        u=WeylElement.identity(rs.rank),
-    )
+    layers = ((0, frozenset(base)), (1, frozenset(rs.node_root(i) for i in pair.orbit)))
+    ld = LanglandsData(d, layers if base else layers[1:], "DeltaA", WeylElement.identity(rs.rank))
     return EndoscopicDatum(
         rs, galois, s, family, base, normalized=True, langlands=ld
     )
@@ -238,24 +228,13 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
     # the centralizer root set is exactly the integer span of the dual nodes
     sigma_gp = centralizer_roots(rs, s)
     basis = zspan_basis(dual_vecs)
-    sigma0 = frozenset(
-        r for r in rs.all_roots if basis and zspan_contains(basis, r)
-    ) if dual_vecs else frozenset()
+    sigma0 = frozenset(r for r in rs.all_roots if basis and zspan_contains(basis, r))
     if sigma_gp != sigma0:
         fail("centralizer roots differ from the dual-node span")
-    plus, minus = set(), set()
-    for r in sigma0:
-        c = solve_in_basis(dual_vecs, r)
-        if c is None:
-            fail("a centralizer root left the dual-node span")
-            continue
-        if all(x >= 0 for x in c):
-            plus.add(r)
-        elif all(x <= 0 for x in c):
-            minus.add(r)
-        else:
-            fail("a centralizer root has mixed signs over the dual nodes")
-    if plus | minus != sigma0 or (plus & minus):
+    plus = positive_system(rs, sigma0, dual_vecs)
+    if plus is None:
+        fail("a centralizer root leaves the dual-node span or has mixed signs")
+    elif plus | {vec_neg(r) for r in plus} != sigma0:
         fail("the centralizer roots do not split into opposite halves")
 
     if d == 1:
@@ -287,10 +266,10 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
         fail("constructed datum did not normalize to the completed diagram")
     if ld.d != d:
         fail(f"recovered order {ld.d} differs from the pair order {d}")
-    nonempty = [k for k in range(1, ld.d) if ld.layers[k]]
+    nonempty = [k for k, _ in ld.layers if k]
     if nonempty != [1]:
         fail(f"nonempty layers at k = {nonempty}, expected exactly k = 1")
-    elif frozenset(ld.layers[1]) != orbit_vecs:
+    elif ld.layer(1) != orbit_vecs:
         fail("the k = 1 layer does not recover the orbit")
     return rep
 
@@ -306,27 +285,20 @@ def _work_estimate(rs: RootSystem, galois: GaloisModel, order_bound: int) -> int
 
 
 def _canonical_s_reps(rs: RootSystem, order_bound: int):
-    """Lex-minimal representatives of the W-orbits on the bounded torsion grid."""
-    gens = simple_reflections(rs)
+    """The first grid point of each W-orbit on the bounded torsion grid.  The
+    orbit key is the least Omega-permutation of the Kac coordinates
+    (1 - theta(a), a_1, ..., a_n) of the alcove form a."""
+    perms = [om.aut.perm for om in omega_group(rs)]
     seen = set()
     reps = []
     for coords in product(range(order_bound), repeat=rs.rank):
         s = TorusElement([Fraction(c, order_bound) for c in coords])
-        k = s.key()
-        if k in seen:
-            continue
-        reps.append(s)
-        frontier = [s]
-        seen.add(k)
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for w in gens:
-                    img = torus_action(w, cur)
-                    if img.key() not in seen:
-                        seen.add(img.key())
-                        nxt.append(img)
-            frontier = nxt
+        a = alcove_form(rs, s)[0].torsion
+        kac = (1 - sum(m * t for m, t in zip(rs.highest_root, a)),) + a
+        key = min(tuple(kac[i] for i in p) for p in perms)
+        if key not in seen:
+            seen.add(key)
+            reps.append(s)
     return reps
 
 

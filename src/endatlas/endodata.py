@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._linalg import fixed_space_dimension, integer_cone_order, zspan_basis, zspan_contains
-from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
+from .errors import InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, Place, restrict_model
 from .rootsys import RootSystem
 from .torus import TorusElement
@@ -22,13 +22,13 @@ from .weyl import (
     DiagramAut,
     WeylElement,
     _transport_in_subsystem,
+    alcove_form,
     enumerate_affine_automorphisms,
     enumerate_weyl,
     find_base_transport,
     omega_conjugating,
     omega_group,
     positive_system,
-    simple_reflections,
     torus_action,
     weyl_part_if_member,
 )
@@ -71,21 +71,16 @@ def canonicalize_action(rs: RootSystem, sub_pos, base, a: WeylElement) -> WeylEl
 
 @dataclass(frozen=True)
 class LanglandsData:
-    """Layered root data of the normalization: d, the level sets Y_k, the
-    filtered minimal sets X_k, the reached shape, and the transport u."""
+    """Layered root data of the normalization: d, the filtered minimal sets
+    X_k, the reached shape, and the transport u."""
 
     d: int
-    layers: tuple  # X_k as frozensets of roots, k = 0..d-1
-    level_sets: tuple  # Y_k as frozensets of roots, k = 0..d-1
+    layers: tuple  # ((k, X_k), ...) over the nonempty X_k, k increasing
     shape: str  # "Delta" or "DeltaA"
     u: WeylElement
 
-    @property
-    def x_set(self):
-        out = set()
-        for layer in self.layers:
-            out |= layer
-        return frozenset(out)
+    def layer(self, k: int) -> frozenset:
+        return next((x for j, x in self.layers if j == k), frozenset())
 
 
 class EndoscopicDatum:
@@ -268,29 +263,30 @@ def transport_datum(datum: EndoscopicDatum, w: WeylElement) -> EndoscopicDatum:
 
 
 def _layers(rs: RootSystem, s: TorusElement, base):
-    """The sets Y_k and X_k from the layered construction, for finite-order s."""
+    """d and the nonempty layers (k, X_k) of the layered construction, for
+    finite-order s; only the level sets Y_k that hold a root are visited."""
     d = s.order()
-    m = s.n_generators
-    zero_free = (Fraction(0),) * m
-    ys = [set() for _ in range(d)]
+    ys = {}
     for r in rs.all_roots:
         t, f = s.value_at(r)
-        if f != zero_free:
+        if any(f):
             continue
         if (t * d).denominator != 1:
             raise InternalConsistencyError("root value of order not dividing ord(s)")
-        ys[int(t * d) % d].add(r)
+        ys.setdefault(int(t * d) % d, []).append(r)
 
     leq = integer_cone_order(base, rs.rank)
-    layers = [frozenset(base)]
-    span_so_far = list(ys[0])
-    for k in range(1, d):
-        basis = zspan_basis(span_so_far) if ys[k] else []
+    layers = [(0, frozenset(base))] if base else []
+    basis, below = [], ys.pop(0, [])
+    for k in sorted(ys):
+        # the Z-span of Y_0 .. Y_{k-1}, grown from the last level's basis
+        basis = zspan_basis(basis + below)
         zk = [r for r in ys[k] if not (basis and zspan_contains(basis, r))]
         minimal = [r for r in zk if not any(q != r and leq(q, r) for q in zk)]
-        layers.append(frozenset(minimal))
-        span_so_far.extend(ys[k])
-    return d, tuple(layers), tuple(frozenset(y) for y in ys)
+        if minimal:
+            layers.append((k, frozenset(minimal)))
+        below = ys[k]
+    return d, tuple(layers)
 
 
 def langlands_normalize(datum: EndoscopicDatum):
@@ -307,10 +303,8 @@ def langlands_normalize(datum: EndoscopicDatum):
     if datum.normalized:
         return datum, replace(datum.langlands, u=WeylElement.identity(datum.rs.rank))
     rs = datum.rs
-    d, layers, level_sets = _layers(rs, datum.s, datum.bprime_base)
-    x_set = set()
-    for layer in layers:
-        x_set |= layer
+    d, layers = _layers(rs, datum.s, datum.bprime_base)
+    x_set = set().union(*(x for _, x in layers))
     x_sorted = sorted(x_set)
     u = None
     shape = None
@@ -343,10 +337,9 @@ def langlands_normalize(datum: EndoscopicDatum):
     uinv = u.inverse()
     s2 = torus_action(u, datum.s)
     fam2 = [u * a * uinv for a in datum.family]
-    new_layers = tuple(frozenset(u(r) for r in layer) for layer in layers)
-    new_levels = tuple(frozenset(u(r) for r in ys) for ys in level_sets)
+    new_layers = tuple((k, frozenset(u(r) for r in x)) for k, x in layers)
     base2 = tuple(sorted(u(b) for b in datum.bprime_base))
-    ld = LanglandsData(d=d, layers=new_layers, level_sets=new_levels, shape=shape, u=u)
+    ld = LanglandsData(d=d, layers=new_layers, shape=shape, u=u)
     out = EndoscopicDatum(
         rs, datum.galois, s2, fam2, base2, normalized=True, langlands=ld
     )
@@ -373,48 +366,21 @@ def normalized_form(datum: EndoscopicDatum) -> EndoscopicDatum:
 # -- equivalence ------------------------------------------------------------------
 
 
-def _orbit_search(rs: RootSystem, s1: TorusElement, s2: TorusElement, cap: int):
-    """Breadth-first search for w with w(s1) = s2 over simple reflections."""
-    if s1 == s2:
-        return WeylElement.identity(rs.rank)
-    gens = simple_reflections(rs)
-    start = s1
-    parent = {start.key(): None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for j, g in enumerate(gens):
-                img = torus_action(g, cur)
-                k = img.key()
-                if k in parent:
-                    continue
-                parent[k] = (cur, j)
-                if len(parent) > cap:
-                    raise CapExceeded(
-                        f"torus orbit exploration exceeded the cap of {cap} states"
-                    )
-                if img == s2:
-                    w = WeylElement.identity(rs.rank)
-                    node = k
-                    while parent[node] is not None:
-                        prev, jj = parent[node]
-                        w = w * gens[jj]
-                        node = prev.key()
-                    return w
-                nxt.append(img)
-        frontier = nxt
-    return None
-
-
-def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int):
+def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum):
     """(w0, r1, r2): the raw forms with r1 transported by w0 onto the torus
-    element of r2, or None when no Weyl element carries one to the other."""
+    element of r2, or None when no Weyl element carries one to the other.
+    w0 = u2^-1.om.u1 for the alcove forms a_i = u_i.s_i and the first om in
+    Omega_J with om.a1 = a2; equal elements take the identity."""
     r1, r2 = raw_form(d1), raw_form(d2)
-    w0 = _orbit_search(d1.rs, r1.s, r2.s, cap)
-    if w0 is None:
+    if r1.s == r2.s:
+        return WeylElement.identity(d1.rs.rank), r1, r2
+    a1, u1, omega = alcove_form(d1.rs, r1.s)
+    a2, u2, _ = alcove_form(d1.rs, r2.s)
+    om = next((om for om in omega if torus_action(om, a1) == a2), None)
+    if om is None:
         return None
-    return w0, (r1 if r1.s == r2.s else transport_datum(r1, w0)), r2
+    w0 = u2.inverse() * om * u1
+    return w0, transport_datum(r1, w0), r2
 
 
 def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement) -> bool:
@@ -423,7 +389,7 @@ def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement)
     return transport_datum(r1, w) == r2
 
 
-def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK_CAP):
+def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum):
     """Equivalence test; returns a witness Weyl element or None.
 
     Finite-order data go through the layer normalization and the Omega
@@ -435,10 +401,10 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK
     if not d1.galois.same_model(d2.galois):
         raise InvalidInput("data live over different Galois models")
     if not (d1.s.is_finite_order() and d2.s.is_finite_order()):
-        return _equivalent_infinite(d1, d2, cap)
+        return _equivalent_infinite(d1, d2)
     if not d1.rs.is_simple:
         return equivalent_bruteforce(d1, d2)
-    reconciled = _reconcile(d1, d2, cap)
+    reconciled = _reconcile(d1, d2)
     if reconciled is None:
         return None
     w0, r1, r2 = reconciled
@@ -454,12 +420,9 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK
             raise InternalConsistencyError("Delta-shape witness failed certification")
         return witness
     rs = d1.rs
-    node_layers = [
-        frozenset(rs.node_of_root(r) for r in layer) for layer in ld1.layers
-    ]
+    layers = [frozenset(rs.node_of_root(r) for r in x) for k, x in ld1.layers if k]
     acts1 = [n1.node_action(a) for a in range(len(d1.galois))]
     acts2 = [n2.node_action(a) for a in range(len(d2.galois))]
-    layers = node_layers[1:]
     om = next(omega_conjugating(rs, layers, layers, acts1, acts2), None)
     if om is None:
         return None
@@ -471,15 +434,15 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum, cap: int = DEFAULT_WORK
     return witness
 
 
-def _equivalent_infinite(d1, d2, cap):
+def _equivalent_infinite(d1, d2):
     from .reduction import finite_order_reduction
 
-    reconciled = _reconcile(d1, d2, cap)
+    reconciled = _reconcile(d1, d2)
     if reconciled is None:
         return None
     w0, r1, r2 = reconciled
     red1, red2, _plan = finite_order_reduction(r1, r2)
-    w = equivalent(red1, red2, cap)
+    w = equivalent(red1, red2)
     if w is None:
         return None
     witness = w * w0
@@ -517,11 +480,8 @@ def out_group(datum: EndoscopicDatum):
             "the completed diagram"
         )
     rs = nd.rs
-    node_layers = [
-        frozenset(rs.node_of_root(r) for r in layer) for layer in nd.langlands.layers
-    ]
+    layers = [frozenset(rs.node_of_root(r) for r in x) for k, x in nd.langlands.layers if k]
     acts = [nd.node_action(a) for a in range(len(nd.galois))]
-    layers = node_layers[1:]
     return list(omega_conjugating(rs, layers, layers, acts, acts))
 
 
@@ -553,7 +513,7 @@ def is_elliptic(datum: EndoscopicDatum) -> bool:
     nd = normalized_form(datum)
     rs = nd.rs
     n = len(nd.galois)
-    x0 = sorted(nd.langlands.layers[0])
+    x0 = sorted(nd.langlands.layer(0))
     if nd.langlands.shape == "DeltaA":
         acts = [nd.node_action(a) for a in range(n)]
         all_orbits = _orbit_count(acts, rs.affine_nodes)

@@ -197,12 +197,16 @@ def _s3_table():
 
 
 def build_galois_model(spec, rs: RootSystem) -> GaloisModel:
-    """Build a model from a preset name or an explicit table + action dict.
+    """Build a model from a preset name, "table:PATH", or an explicit table +
+    action dict.
 
     Presets: "trivial", "cN:inner" (cyclic, trivial action), "c2:outer"
     (cyclic of order 2 through the diagram flip, where one exists),
     "c3:outer" (Z/3 into triality, D4 only), "s3" (S3 onto Aut(D4)).
+    "table:PATH" reads the dict from a JSON file.
     """
+    if isinstance(spec, str) and spec.startswith("table:"):
+        return load_galois_model(spec[len("table:"):], rs)
     if isinstance(spec, str):
         return _preset_model(spec, rs)
     if isinstance(spec, dict):

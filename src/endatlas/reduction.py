@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import solve_in_basis, zspan_basis, zspan_contains
-from .errors import DEFAULT_WORK_CAP, InternalConsistencyError, InvalidInput
+from ._linalg import zspan_basis, zspan_contains
+from .errors import InternalConsistencyError, InvalidInput
 from .galois import GaloisModel
 from .rootsys import RootSystem, product_root_system
 from .torus import TorusElement
-from .weyl import DiagramAut, WeylElement, _transport_in_subsystem, torus_action
+from .weyl import DiagramAut, WeylElement, _lex_positive, free_dominance, torus_action
 from .endodata import (
     EndoscopicDatum,
     _reconcile,
@@ -56,7 +56,6 @@ class ReductionPlan:
 
 def _free_exponent_basis(rs: RootSystem, s: TorusElement):
     """Hermite-reduced basis of the lattice generated by the free parts."""
-    m = s.n_generators
     vecs = []
     for r in rs.simple_roots:
         _, f = s.value_at(r)
@@ -70,51 +69,20 @@ def _free_exponent_basis(rs: RootSystem, s: TorusElement):
     return tuple(tuple(Fraction(x, denom) for x in row) for row in basis)
 
 
-def _free_coords(r_basis, vec):
-    """Integer coordinates of a free part over the Hermite basis."""
-    if not any(vec):
-        return (0,) * len(r_basis)
-    c = solve_in_basis([tuple(b) for b in r_basis], tuple(vec))
-    if c is None or any(x.denominator != 1 for x in c):
-        raise InternalConsistencyError("free part outside its own lattice")
-    return tuple(int(x) for x in c)
-
-
-def _lex_positive(coords) -> bool:
-    for x in coords:
-        if x != 0:
-            return x > 0
-    return True  # the identity counts as positive
-
-
-def _standardizer(rs: RootSystem, s: TorusElement, r_basis) -> WeylElement:
-    """A Weyl element moving the parabolic cut out by the free signs to a
-    standard one (every positive root lands in the nonnegative side)."""
-    refined_pos = set()
-    for r in rs.all_roots:
-        _, f = s.value_at(r)
-        coords = _free_coords(r_basis, f)
-        if any(coords):
-            if _lex_positive(coords):
-                refined_pos.add(r)
-        elif r in rs.positives:
-            refined_pos.add(r)
-    return _transport_in_subsystem(rs, refined_pos, rs.simple_roots, rs.positives)
-
-
 def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     """The full plan for one torus element (already standardized)."""
     r_basis = _free_exponent_basis(rs, s)
     sigma_p, sigma_m = set(), set()
     free_of = {}
     for r in rs.all_roots:
+        # the Hermite basis is echelon with positive pivots, so the lex sign
+        # of a free part equals the lex sign of its coordinates over it
         _, f = s.value_at(r)
-        coords = _free_coords(r_basis, f)
-        free_of[r] = coords
-        if not any(coords):
+        free_of[r] = f
+        if not any(f):
             sigma_m.add(r)
             sigma_p.add(r)
-        elif _lex_positive(coords):
+        elif _lex_positive(f):
             sigma_p.add(r)
     if not (sigma_p | {tuple(-x for x in r) for r in sigma_p - sigma_m}) == rs.all_roots:
         raise InternalConsistencyError("parabolic halves do not cover the root set")
@@ -241,8 +209,7 @@ def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
     if r1.s.is_finite_order():
         return d1, d2, degenerate_plan(r1.s)
     rs = d1.rs
-    r_basis0 = _free_exponent_basis(rs, r1.s)
-    w_std = _standardizer(rs, r1.s, r_basis0)
+    w_std = free_dominance(rs, r1.s)
     r1, r2 = transport_datum(r1, w_std), transport_datum(r2, w_std)
     plan = replace(build_reduction_plan(rs, r1.s), standardizer=w_std)
     t = plan.t
@@ -273,7 +240,7 @@ def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) ->
     """Equivalence verdicts before (direct Weyl search) and after the reduction
     (layer criterion on the reduced data) must agree; False falsifies."""
     before = equivalent_bruteforce(d1, d2) is not None
-    reconciled = _reconcile(d1, d2, DEFAULT_WORK_CAP)
+    reconciled = _reconcile(d1, d2)
     if reconciled is None:
         # no Weyl transport between the torus elements: both verdicts negative
         return before is False

@@ -161,10 +161,7 @@ def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TY
         )
         trials += 1
         tag = f"trial {trials} ({type_str}, |Gamma|={len(galois)})"
-        try:
-            r1, r2, plan = finite_order_reduction(d1, d2)
-        except CapExceeded:
-            continue
+        r1, r2, plan = finite_order_reduction(d1, d2)
         if not plan.t.is_finite_order():
             failures.append(f"{tag}: t has infinite order")
             continue

@@ -8,6 +8,8 @@ of these tuples, which gives a canonical, hashable normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from ._linalg import dot, integer_gauss_jordan, span_functionals, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
@@ -195,6 +197,104 @@ def _transport_in_subsystem(rs: RootSystem, pos, target_base, target_pos) -> Wey
         if steps > limit:
             raise InternalConsistencyError("descent failed to terminate")
     return v
+
+
+def _lex_positive(vec) -> bool:
+    """Whether the first nonzero entry is positive (the zero vector counts)."""
+    return next((x > 0 for x in vec if x), True)
+
+
+def free_dominance(rs: RootSystem, s: TorusElement) -> WeylElement:
+    """A w in W after which every positive root has a lex-nonnegative free
+    part on w.s: the chamber descent from the positive system cut out by the
+    lex signs of the free parts (standard positivity breaking the ties) to
+    the standard one.  The roots of zero free part are then a standard Levi."""
+    pos = set()
+    for r in rs.all_roots:
+        f = s.value_at(r)[1]
+        if _lex_positive(f) if any(f) else r in rs.positives:
+            pos.add(r)
+    return _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
+
+
+def _parabolic_positives(rs: RootSystem, nodes):
+    """The positive roots supported on the simple-root indices ``nodes``."""
+    return {r for r in rs.positives if not any(x for i, x in enumerate(r) if i not in nodes)}
+
+
+def _longest_element(rs: RootSystem, nodes) -> WeylElement:
+    """w0 of the standard parabolic subgroup on ``nodes``."""
+    pos = _parabolic_positives(rs, nodes)
+    neg_base = [vec_neg(rs.simple_roots[i]) for i in nodes]
+    return _transport_in_subsystem(rs, pos, neg_base, {vec_neg(r) for r in pos})
+
+
+def _alcove_walls(rs: RootSystem, J):
+    """For simple-root indices J: the highest root theta_c of each component
+    c of J with its pairings <alpha_i, theta_c^vee>; Omega_J, the products
+    over c of {1} and w0(J_c minus j).w0(J_c) over the mark-1 nodes j of
+    theta_c, identity first; and a bound on descent steps.  Cached per J."""
+    cache = getattr(rs, "_alcove_walls", None)
+    if cache is None:
+        cache = rs._alcove_walls = {}
+    if J not in cache:
+        one = WeylElement.identity(rs.rank)
+        pos_j, walls, omega = _parabolic_positives(rs, J), [], [one]
+        for i in J:
+            if any(t[i] for t, _ in walls):
+                continue
+            # the highest root through alpha_i is that of i's component
+            theta = max((r for r in pos_j if r[i]), key=sum)
+            walls.append((theta, tuple(rs.pairing(a, theta) for a in rs.simple_roots)))
+            comp = [k for k, x in enumerate(theta) if x]
+            ones = [j for j in comp if theta[j] == 1]
+            top = _longest_element(rs, comp) if ones else None
+            omega = [w * v for w in omega for v in [one] + [
+                _longest_element(rs, [k for k in comp if k != j]) * top for j in ones
+            ]]
+        # each step crosses one hyperplane beta = k between the lift and the alcove
+        cache[J] = (tuple(walls), tuple(omega), sum(map(sum, rs.positives)) + 1)
+    return cache[J]
+
+
+def alcove_form(rs: RootSystem, s: TorusElement):
+    """The W-orbit normal form ``(a, u, omega)`` of a torus element: a = u.s
+    lies in the closed alcove of W_J, and ``omega`` is Omega_J.  Two elements
+    are W-conjugate iff their forms share the free part and some element of
+    Omega_J carries one form onto the other.
+
+    Free phase: ``free_dominance``; the stabilizer of the free part is then
+    W_J, J the simple roots of zero free part.  Torsion phase: lift the
+    torsion to integers 0 <= n_i < D over one denominator and reflect in a
+    violated wall until none is left: s_j when n_j < 0 for j in J, else s_theta
+    when theta(n) > D for the highest root theta of a component of J, with
+    n -= <., theta^vee>.(theta(n) - D).  The reflections multiply into u.
+    """
+    u = WeylElement.identity(rs.rank)
+    if not s.is_finite_order():
+        u = free_dominance(rs, s)
+        s = torus_action(u, s)
+    J = tuple(i for i, f in enumerate(s.free) if not any(f))
+    walls, omega, limit = _alcove_walls(rs, J)
+    den = lcm(1, *(t.denominator for t in s.torsion))
+    n = [t.numerator * (den // t.denominator) for t in s.torsion]
+    rows = [list(row) for row in u.images]
+    for _ in range(limit):
+        j = next((j for j in J if n[j] < 0), None)
+        if j is not None:
+            root, pairs, excess = rs.simple_roots[j], [row[j] for row in rs.matrix], n[j]
+        else:
+            root, pairs = next(((t, p) for t, p in walls if dot(t, n) > den), (None, None))
+            if root is None:
+                a = TorusElement._reduced(tuple(Fraction(x % den, den) for x in n), s.free)
+                return a, WeylElement(rows), omega
+            excess = dot(root, n) - den
+        n = [x - p * excess for x, p in zip(n, pairs)]
+        for row in rows:
+            c = dot(row, pairs)
+            if c:
+                row[:] = [x - c * t for x, t in zip(row, root)]
+    raise InternalConsistencyError("alcove descent failed to terminate")
 
 
 def find_base_transport(rs: RootSystem, source_base, target_base):

@@ -96,3 +96,65 @@ def fraction_solve(basis, target):
     if any(row[k] != 0 for row in rows[k:]):
         return None
     return tuple(rows[i][k] for i in range(k))
+
+
+# -- breadth-first W-orbit walks, the oracles of the alcove normal form ---------
+
+
+def bfs_orbit_search(rs, s1, s2):
+    """Breadth-first search for w with w(s1) = s2 over simple reflections,
+    or None when s2 is outside the W-orbit of s1."""
+    from endatlas.weyl import WeylElement, simple_reflections, torus_action
+
+    if s1 == s2:
+        return WeylElement.identity(rs.rank)
+    gens = simple_reflections(rs)
+    parent = {s1.key(): None}
+    frontier = [s1]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for j, g in enumerate(gens):
+                img = torus_action(g, cur)
+                k = img.key()
+                if k in parent:
+                    continue
+                parent[k] = (cur, j)
+                if img == s2:
+                    w = WeylElement.identity(rs.rank)
+                    while parent[k] is not None:
+                        prev, jj = parent[k]
+                        w = w * gens[jj]
+                        k = prev.key()
+                    return w
+                nxt.append(img)
+        frontier = nxt
+    return None
+
+
+def bfs_canonical_s_reps(rs, order_bound):
+    """The first point in grid order of each W-orbit on the torsion grid with
+    denominator ``order_bound``, each orbit closed by breadth-first search."""
+    from itertools import product
+
+    from endatlas.weyl import simple_reflections, torus_action
+
+    gens = simple_reflections(rs)
+    seen, reps = set(), []
+    for coords in product(range(order_bound), repeat=rs.rank):
+        s = TorusElement([Fraction(c, order_bound) for c in coords])
+        if s.key() in seen:
+            continue
+        reps.append(s)
+        seen.add(s.key())
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for g in gens:
+                    img = torus_action(g, cur)
+                    if img.key() not in seen:
+                        seen.add(img.key())
+                        nxt.append(img)
+            frontier = nxt
+    return reps

@@ -347,3 +347,15 @@ def test_galois_table_file(tmp_path, capsys):
     assert main(["classify", "--type", "A2", "--galois", f"table:{path}"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["class_count"] == 2
+
+
+@pytest.mark.parametrize("suite", ["bijection", "local-global"])
+def test_verify_reads_a_galois_table_file(suite, tmp_path, capsys):
+    """`verify` takes `table:PATH` like `classify`: a cyclic table of order 2
+    gives the report of the c2:inner preset."""
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}))
+    assert main(["verify", "--suite", suite, "--type", "A1", "--galois", "c2:inner"]) == 0
+    preset = capsys.readouterr().out
+    assert main(["verify", "--suite", suite, "--type", "A1", "--galois", f"table:{path}"]) == 0
+    assert capsys.readouterr().out == preset

@@ -13,6 +13,7 @@ from endatlas.endodata import equivalent, is_elliptic, langlands_normalize
 from endatlas.elliptic import (
     DEFAULT_WORK_CAP,
     _build_inventory,
+    _canonical_s_reps,
     brute_force_inventory,
     classify_elliptic,
     enumerate_pairs,
@@ -21,6 +22,8 @@ from endatlas.elliptic import (
     pair_to_datum,
     verify_sigma_structure,
 )
+
+from conftest import bfs_canonical_s_reps
 
 F = Fraction
 
@@ -176,7 +179,7 @@ def test_constructed_data_round_trip_layers(c2):
         raw = make_datum(c2, g, TorusElement(torsion), pair.cocycle)
         nd, ld = langlands_normalize(raw)
         assert ld.shape == "DeltaA" and ld.d == d
-        assert frozenset(ld.layers[1]) == frozenset(c2.node_root(i) for i in pair.orbit)
+        assert ld.layer(1) == frozenset(c2.node_root(i) for i in pair.orbit)
 
 
 def test_equivalence_relation_on_inventory(a2, c2):
@@ -292,3 +295,14 @@ def test_families_fixing_against_the_filtered_product(type_name, galois_spec):
             if all(f[g.table[a][b]] == f[a] * f[b] for a in range(n) for b in range(n))
         ]
         assert _families_fixing(rs, g, s, W) == want
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [("A1", 8), ("A2", 6), ("A3", 4), ("A4", 3), ("C2", 6), ("C3", 4), ("G2", 6), ("D4", 3)],
+)
+def test_canonical_s_reps_match_the_bfs_closure(name, bound):
+    """The Kac-coordinate key keeps the same grid points, in the same order,
+    as closing every W-orbit by breadth-first search."""
+    rs = build_root_system(name)
+    assert _canonical_s_reps(rs, bound) == bfs_canonical_s_reps(rs, bound)

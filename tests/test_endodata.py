@@ -11,7 +11,7 @@ from endatlas.errors import InvalidInput
 from endatlas.galois import build_galois_model, places
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.weyl import WeylElement, enumerate_weyl, torus_action
+from endatlas.weyl import WeylElement, enumerate_weyl, simple_reflections, torus_action
 from endatlas.endodata import (
     equivalent,
     equivalent_bruteforce,
@@ -39,15 +39,15 @@ def test_principal_datum_normalizes_to_delta(a1):
     p = principal_datum(a1, g)
     nd, ld = langlands_normalize(p)
     assert ld.shape == "Delta" and ld.d == 1
-    assert ld.layers == (frozenset({(1,)}),)
+    assert ld.layers == ((0, frozenset({(1,)})),)
 
 
 def test_a1_swap_datum_layers(a1):
     d, _ = a1_swap_datum(a1)
     nd, ld = langlands_normalize(d)
     assert ld.shape == "DeltaA" and ld.d == 2
-    assert ld.layers[0] == frozenset()
-    assert ld.layers[1] == {(1,), (-1,)}
+    assert ld.layer(0) == frozenset()
+    assert ld.layer(1) == {(1,), (-1,)}
     assert ld.u.is_identity()
 
 
@@ -56,8 +56,8 @@ def test_c2_half_zero_layers(c2):
     d = make_datum(c2, g, TorusElement([F(1, 2), F(0)]), {})
     nd, ld = langlands_normalize(d)
     assert ld.shape == "DeltaA"
-    assert {c2.node_of_root(r) for r in ld.layers[0]} == {0, 2}
-    assert {c2.node_of_root(r) for r in ld.layers[1]} == {1}
+    assert {c2.node_of_root(r) for r in ld.layer(0)} == {0, 2}
+    assert {c2.node_of_root(r) for r in ld.layer(1)} == {1}
 
 
 def test_normalize_rejects_infinite_order(a1):
@@ -336,8 +336,47 @@ def test_layers_skip_the_span_basis_for_empty_level_sets(a1, monkeypatch):
         return real(vectors)
 
     monkeypatch.setattr(endodata, "zspan_basis", counting)
-    d, layers, level_sets = endodata._layers(a1, TorusElement([F(1, 4)]), ())
-    assert d == 4 and [len(y) for y in level_sets] == [0, 1, 0, 1]
-    # -alpha lies in the span of Y_1, so the last layer is empty as well
-    assert layers == (frozenset(), frozenset({(1,)}), frozenset(), frozenset())
+    d, layers = endodata._layers(a1, TorusElement([F(1, 4)]), ())
+    # Y_1 = {alpha} and Y_3 = {-alpha}; -alpha lies in the span of Y_1, so
+    # the only nonempty layer is X_1
+    assert d == 4 and layers == ((1, frozenset({(1,)})),)
     assert len(calls) == 2
+
+
+def test_layers_of_a_large_order_element_stay_sparse(a1):
+    """s = 1/200000 on A1 has two nonempty level sets out of 200000; only
+    they are visited, and the layers hold X_1 alone."""
+    g = build_galois_model("trivial", a1)
+    d = make_datum(a1, g, TorusElement([F(1, 200000)]), {})
+    nd, ld = langlands_normalize(d)
+    assert ld.d == 200000 and ld.layers == ((1, frozenset({(1,)})),)
+    assert ld.layer(0) == frozenset() and ld.layer(7) == frozenset()
+    a4 = build_root_system("A4")
+    big = make_datum(a4, build_galois_model("trivial", a4),
+                     TorusElement([F(1, 97), F(1, 99), F(1, 101), F(1, 103)]), {})
+    assert equivalent(big, big).is_identity()
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_regular_elements_of_exceptional_types(name):
+    """Regular s of order 211: a Weyl conjugate gets a certified witness and
+    an independent draw is inequivalent, without walking the W-orbit."""
+    rs = build_root_system(name)
+    g = build_galois_model("trivial", rs)
+    rng = random.Random(211)
+
+    def regular():
+        while True:
+            s = TorusElement([F(rng.randrange(1, 211), 211) for _ in range(rs.rank)])
+            if all(s.value_at(r)[0] for r in rs.all_roots):
+                return s
+
+    s = regular()
+    w = WeylElement.identity(rs.rank)
+    for _ in range(40):
+        w = simple_reflections(rs)[rng.randrange(rs.rank)] * w
+    d1 = make_datum(rs, g, s, {})
+    d2 = make_datum(rs, g, torus_action(w, s), {})
+    witness = equivalent(d1, d2)
+    assert witness is not None and witness_transports(d1, d2, witness)
+    assert equivalent(d1, make_datum(rs, g, regular(), {})) is None

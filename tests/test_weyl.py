@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
-from endatlas.rootsys import build_root_system
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import (
     DiagramAut,
     WeylElement,
+    alcove_form,
     enumerate_affine_automorphisms,
     enumerate_delta_automorphisms,
     enumerate_weyl,
@@ -27,7 +28,7 @@ from endatlas.weyl import (
     weyl_part_if_member,
 )
 
-from conftest import fraction_solve, omega_sending_zero_to
+from conftest import bfs_orbit_search, fraction_solve, omega_sending_zero_to
 
 
 def simple_reflection(rs, j):
@@ -348,3 +349,81 @@ def positivity_cases(draw):
 def test_positive_system_matches_per_root_solves(case):
     rs, roots, base = case
     assert positive_system(rs, roots, base) == fraction_positive_system(roots, base)
+
+
+# -- the alcove normal form of torus elements ------------------------------------
+
+
+ALCOVE_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+
+
+@st.composite
+def torus_pairs(draw):
+    """A system of rank <= 4 and two torus elements with 0-2 free generators:
+    a grid torsion point, and a Weyl word applied to it or a second draw."""
+    rs = build_root_system(draw(st.sampled_from(ALCOVE_TYPES)))
+    n_gens = draw(st.integers(0, 2))
+    den = draw(st.integers(1, 12))
+
+    def element():
+        torsion = [Fraction(draw(st.integers(0, den - 1)), den) for _ in range(rs.rank)]
+        free = [
+            tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(n_gens))
+            for _ in range(rs.rank)
+        ]
+        return TorusElement(torsion, free if n_gens else None)
+
+    s1 = element()
+    if draw(st.booleans()):
+        s2 = s1
+        for j in draw(st.lists(st.integers(0, rs.rank - 1), max_size=12)):
+            s2 = torus_action(simple_reflections(rs)[j], s2)
+    else:
+        s2 = element()
+    return rs, s1, s2
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_pairs())
+def test_alcove_form_lands_in_the_alcove(case):
+    """a = u.s; the free part of a is lex-dominant, and every positive root
+    of zero free part takes a value in [0, 1] on the lift of a's torsion."""
+    rs, s, _ = case
+    a, u, omega = alcove_form(rs, s)
+    assert torus_action(u, s) == a
+    assert omega[0].is_identity()
+    for r in rs.positives:
+        torsion, free = a.value_at(r)
+        assert next((x > 0 for x in free if x), True)
+        if not any(free):
+            assert 0 <= sum(c * t for c, t in zip(r, a.torsion)) <= 1
+    for om in omega:
+        assert torus_action(om, a).free == a.free
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_pairs())
+def test_reconcile_transporter_agrees_with_the_bfs_oracle(case):
+    """The alcove transporter exists exactly when the orbit walk finds one,
+    and every returned one carries s1 to s2."""
+    from endatlas.endodata import _reconcile, make_datum
+    from endatlas.galois import build_galois_model
+
+    rs, s1, s2 = case
+    trivial = build_galois_model("trivial", rs)
+    got = _reconcile(make_datum(rs, trivial, s1, {}), make_datum(rs, trivial, s2, {}))
+    assert (got is None) == (bfs_orbit_search(rs, s1, s2) is None)
+    if got is not None:
+        w0, r1, r2 = got
+        assert torus_action(w0, s1) == s2 and r1.s == r2.s == s2
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_omega_of_the_whole_diagram_is_omega(ct):
+    """For J = Delta the products w0(Delta minus j).w0(Delta) over the mark-1
+    nodes j, with the identity, are the Weyl elements of omega_group."""
+    rs = build_root_system(ct)
+    omega = alcove_form(rs, TorusElement.identity(rs.rank))[2]
+    assert omega[0].is_identity()
+    assert len(omega) == len(set(omega)) == len(omega_group(rs))
+    assert set(omega) == {om.weyl for om in omega_group(rs)}
