@@ -127,9 +127,7 @@ def _cmd_verify(args) -> int:
             subset = [p for p in places(galois) if galois.names[p.generator] in wanted]
             if not subset:
                 raise InvalidInput("no listed place matches --places")
-            from .suites import default_order_bound
-
-            bound = args.max_order or default_order_bound(rs, galois)
+            bound = result.details["order_bound"]
             cert = counterexample_search(rs, galois, subset, bound, cap=args.cap_orbit)
             extra["restricted_places"] = sorted(p.name(galois) for p in subset)
             extra["certificate"] = (

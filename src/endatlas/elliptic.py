@@ -22,6 +22,7 @@ from .weyl import (
     WeylElement,
     alcove_form,
     enumerate_weyl,
+    kac_coordinates,
     omega_conjugating,
     omega_group,
     positive_system,
@@ -286,15 +287,14 @@ def _work_estimate(rs: RootSystem, galois: GaloisModel, order_bound: int) -> int
 
 def _canonical_s_reps(rs: RootSystem, order_bound: int):
     """The first grid point of each W-orbit on the bounded torsion grid.  The
-    orbit key is the least Omega-permutation of the Kac coordinates
-    (1 - theta(a), a_1, ..., a_n) of the alcove form a."""
+    orbit key is the least Omega-permutation of the Kac coordinates of the
+    alcove form."""
     perms = [om.aut.perm for om in omega_group(rs)]
     seen = set()
     reps = []
     for coords in product(range(order_bound), repeat=rs.rank):
         s = TorusElement([Fraction(c, order_bound) for c in coords])
-        a = alcove_form(rs, s)[0].torsion
-        kac = (1 - sum(m * t for m, t in zip(rs.highest_root, a)),) + a
+        kac = kac_coordinates(rs, alcove_form(rs, s)[0])[1]
         key = min(tuple(kac[i] for i in p) for p in perms)
         if key not in seen:
             seen.add(key)
@@ -338,6 +338,8 @@ def brute_force_inventory(
     The cost cap is checked on every call; the result is built once per
     (model, bound) and kept on the root system.
     """
+    if order_bound < 1:
+        raise InvalidInput(f"order bound {order_bound} is not a positive integer")
     cost = _work_estimate(rs, galois, order_bound)
     if cost > cap:
         raise CapExceeded(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._linalg import fixed_space_dimension, integer_cone_order, zspan_basis, zspan_contains
+from ._linalg import fixed_space_dimension
 from .errors import InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, Place, restrict_model
 from .rootsys import RootSystem
@@ -23,9 +23,11 @@ from .weyl import (
     WeylElement,
     _transport_in_subsystem,
     alcove_form,
+    alcove_omega,
     enumerate_affine_automorphisms,
     enumerate_weyl,
-    find_base_transport,
+    kac_coordinates,
+    omega_by_node,
     omega_conjugating,
     omega_group,
     positive_system,
@@ -262,86 +264,58 @@ def transport_datum(datum: EndoscopicDatum, w: WeylElement) -> EndoscopicDatum:
 # -- Langlands layers and normalization ------------------------------------------
 
 
-def _layers(rs: RootSystem, s: TorusElement, base):
-    """d and the nonempty layers (k, X_k) of the layered construction, for
-    finite-order s; only the level sets Y_k that hold a root are visited."""
-    d = s.order()
-    ys = {}
-    for r in rs.all_roots:
-        t, f = s.value_at(r)
-        if any(f):
-            continue
-        if (t * d).denominator != 1:
-            raise InternalConsistencyError("root value of order not dividing ord(s)")
-        ys.setdefault(int(t * d) % d, []).append(r)
-
-    leq = integer_cone_order(base, rs.rank)
-    layers = [(0, frozenset(base))] if base else []
-    basis, below = [], ys.pop(0, [])
-    for k in sorted(ys):
-        # the Z-span of Y_0 .. Y_{k-1}, grown from the last level's basis
-        basis = zspan_basis(basis + below)
-        zk = [r for r in ys[k] if not (basis and zspan_contains(basis, r))]
-        minimal = [r for r in zk if not any(q != r and leq(q, r) for q in zk)]
-        if minimal:
-            layers.append((k, frozenset(minimal)))
-        below = ys[k]
-    return d, tuple(layers)
-
-
 def langlands_normalize(datum: EndoscopicDatum):
     """Conjugate the datum so the layered root set equals Delta or Delta_a.
 
-    Returns (normalized datum, LanglandsData).  The transporting element u is
-    a deterministic function of s alone, so two data with the same s receive
-    the same u and keep their layer sets in common.
+    Returns (normalized datum, LanglandsData), read off the Kac coordinates
+    k_0..k_n (units of 1/d, d = ord(s)) of the alcove form a = u.s.  u is a
+    function of s alone, so data with the same s share u and their layers.
+
+    Why this is the layered construction: every root is a nonnegative
+    combination of affine nodes, so its value on a is exactly sum c_i k_i / d.
+    B_a, the nodes with k_i = 0, is a base of the centralizer roots, and u is
+    corrected inside them so that u(B') = B_a.  A root of level k that
+    involves two positive-level nodes, or one node twice, lies in the Z-span
+    of the lower levels; any other root of level k lies above a single node
+    of level k in the B_a cone order.  A node lies in the span of all the
+    others only when it alone holds the top level and has mark 1: that is
+    shape Delta, where Omega moves the node to 0 and it is dropped.
     """
+    rs = datum.rs
+    rs._require_simple()
     if not datum.s.is_finite_order():
         raise InvalidInput(
             "s has infinite order; apply the finite-order reduction first"
         )
     if datum.normalized:
-        return datum, replace(datum.langlands, u=WeylElement.identity(datum.rs.rank))
-    rs = datum.rs
-    d, layers = _layers(rs, datum.s, datum.bprime_base)
-    x_set = set().union(*(x for _, x in layers))
-    x_sorted = sorted(x_set)
-    u = None
-    shape = None
-    if len(x_set) == rs.rank:
-        u = find_base_transport(rs, x_sorted, rs.simple_roots)
-        shape = "Delta"
-    elif len(x_set) == rs.rank + 1:
-        # candidates in canonical root order; an s-fixing transport is
-        # preferred because it reproduces the layers on the nose
-        valid = []
-        for beta in x_sorted:
-            pos = positive_system(rs, rs.all_roots, [r for r in x_sorted if r != beta])
-            if pos is None:
-                continue
-            # the rest is a set of roots and a base, so w sends it onto Delta
-            w = _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
-            if w(beta) == rs.lowest_root:
-                valid.append(w)
-        fixing = [w for w in valid if torus_action(w, datum.s) == datum.s]
-        if fixing:
-            u = fixing[0]
-        elif valid:
-            u = valid[0]
-        if u is not None:
-            shape = "DeltaA"
-    if u is None or shape is None:
-        raise InternalConsistencyError(
-            "no Weyl transport takes the layered set to Delta or Delta_a"
-        )
-    uinv = u.inverse()
+        return datum, replace(datum.langlands, u=WeylElement.identity(rs.rank))
+    alc, u = alcove_form(rs, datum.s)
+    d, kac = kac_coordinates(rs, alc)
+    top = max(kac)
+    j = kac.index(top)
+    shape = "Delta" if kac.count(top) == 1 and rs.marks[j] == 1 else "DeltaA"
+    if shape == "Delta" and j:
+        om = omega_by_node(rs)[j]
+        u = om.weyl.inverse() * u
+        kac = tuple(kac[i] for i in om.aut.perm)
+    by_level = {}
+    # shape Delta drops node 0, which alone holds the top level
+    for i in rs.affine_nodes[1:] if shape == "Delta" else rs.affine_nodes:
+        by_level.setdefault(kac[i], set()).add(rs.node_root(i))
+    b_a = frozenset(by_level.get(0, ()))
     s2 = torus_action(u, datum.s)
+    moved = {u(b) for b in datum.bprime_base}
+    if moved != b_a:
+        # the descent runs in the Weyl group of the centralizer, so it fixes s2
+        phi_a = centralizer_roots(rs, s2)
+        pos = positive_system(rs, phi_a, moved)
+        u = _transport_in_subsystem(rs, pos, b_a, positive_system(rs, phi_a, b_a)) * u
+    layers = tuple((k, frozenset(x)) for k, x in sorted(by_level.items()))
+    uinv = u.inverse()
     fam2 = [u * a * uinv for a in datum.family]
-    new_layers = tuple((k, frozenset(u(r) for r in x)) for k, x in layers)
-    base2 = tuple(sorted(u(b) for b in datum.bprime_base))
-    ld = LanglandsData(d=d, layers=new_layers, shape=shape, u=u)
+    ld = LanglandsData(d=d, layers=layers, shape=shape, u=u)
     out = EndoscopicDatum(
-        rs, datum.galois, s2, fam2, base2, normalized=True, langlands=ld
+        rs, datum.galois, s2, fam2, b_a, normalized=True, langlands=ld
     )
     if shape == "Delta":
         for a in range(len(datum.galois)):
@@ -374,9 +348,9 @@ def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum):
     r1, r2 = raw_form(d1), raw_form(d2)
     if r1.s == r2.s:
         return WeylElement.identity(d1.rs.rank), r1, r2
-    a1, u1, omega = alcove_form(d1.rs, r1.s)
-    a2, u2, _ = alcove_form(d1.rs, r2.s)
-    om = next((om for om in omega if torus_action(om, a1) == a2), None)
+    a1, u1 = alcove_form(d1.rs, r1.s)
+    a2, u2 = alcove_form(d1.rs, r2.s)
+    om = next((om for om in alcove_omega(d1.rs, a1) if torus_action(om, a1) == a2), None)
     if om is None:
         return None
     w0 = u2.inverse() * om * u1

@@ -57,7 +57,7 @@ def bijection_suite(type_str: str, galois_spec, max_order=None, cap: int = DEFAU
     """classify_elliptic against the brute-force inventory, plus the round trip."""
     rs = build_root_system(type_str)
     galois = build_galois_model(galois_spec, rs)
-    bound = max_order or default_order_bound(rs, galois)
+    bound = default_order_bound(rs, galois) if max_order is None else max_order
     report = classify_elliptic(rs, galois)
     inventory = brute_force_inventory(rs, galois, bound, cap=cap)
     failures = []
@@ -89,7 +89,7 @@ def bijection_suite(type_str: str, galois_spec, max_order=None, cap: int = DEFAU
 def local_global_suite(type_str: str, galois_spec, max_order=None, cap: int = DEFAULT_WORK_CAP) -> SuiteResult:
     rs = build_root_system(type_str)
     galois = build_galois_model(galois_spec, rs)
-    bound = max_order or default_order_bound(rs, galois)
+    bound = default_order_bound(rs, galois) if max_order is None else max_order
     report = exhaustive_local_global(rs, galois, bound, cap=cap)
     failures = [
         f"inconsistent pair: {v}" for *_pair, v in report.falsifiers

@@ -231,37 +231,51 @@ def _longest_element(rs: RootSystem, nodes) -> WeylElement:
 
 def _alcove_walls(rs: RootSystem, J):
     """For simple-root indices J: the highest root theta_c of each component
-    c of J with its pairings <alpha_i, theta_c^vee>; Omega_J, the products
-    over c of {1} and w0(J_c minus j).w0(J_c) over the mark-1 nodes j of
-    theta_c, identity first; and a bound on descent steps.  Cached per J."""
+    c of J with its pairings <alpha_i, theta_c^vee>, and a bound on descent
+    steps.  Cached per J."""
     cache = getattr(rs, "_alcove_walls", None)
     if cache is None:
         cache = rs._alcove_walls = {}
     if J not in cache:
-        one = WeylElement.identity(rs.rank)
-        pos_j, walls, omega = _parabolic_positives(rs, J), [], [one]
+        pos_j, walls = _parabolic_positives(rs, J), []
         for i in J:
             if any(t[i] for t, _ in walls):
                 continue
             # the highest root through alpha_i is that of i's component
             theta = max((r for r in pos_j if r[i]), key=sum)
             walls.append((theta, tuple(rs.pairing(a, theta) for a in rs.simple_roots)))
+        # each step crosses one hyperplane beta = k between the lift and the alcove
+        cache[J] = (tuple(walls), sum(map(sum, rs.positives)) + 1)
+    return cache[J]
+
+
+def alcove_omega(rs: RootSystem, a: TorusElement):
+    """Omega_J for the alcove point a, J the simple roots of zero free part:
+    the products over the components c of J of {1} and w0(J_c minus j).w0(J_c)
+    over the mark-1 nodes j of theta_c, identity first.  Cached per J."""
+    J = tuple(i for i, f in enumerate(a.free) if not any(f))
+    cache = getattr(rs, "_alcove_omega", None)
+    if cache is None:
+        cache = rs._alcove_omega = {}
+    if J not in cache:
+        one = WeylElement.identity(rs.rank)
+        omega = [one]
+        for theta, _ in _alcove_walls(rs, J)[0]:
             comp = [k for k, x in enumerate(theta) if x]
             ones = [j for j in comp if theta[j] == 1]
             top = _longest_element(rs, comp) if ones else None
             omega = [w * v for w in omega for v in [one] + [
                 _longest_element(rs, [k for k in comp if k != j]) * top for j in ones
             ]]
-        # each step crosses one hyperplane beta = k between the lift and the alcove
-        cache[J] = (tuple(walls), tuple(omega), sum(map(sum, rs.positives)) + 1)
+        cache[J] = tuple(omega)
     return cache[J]
 
 
 def alcove_form(rs: RootSystem, s: TorusElement):
-    """The W-orbit normal form ``(a, u, omega)`` of a torus element: a = u.s
-    lies in the closed alcove of W_J, and ``omega`` is Omega_J.  Two elements
-    are W-conjugate iff their forms share the free part and some element of
-    Omega_J carries one form onto the other.
+    """The W-orbit normal form ``(a, u)`` of a torus element: a = u.s lies in
+    the closed alcove of W_J.  Two elements are W-conjugate iff their forms
+    share the free part and some element of ``alcove_omega`` carries one form
+    onto the other.
 
     Free phase: ``free_dominance``; the stabilizer of the free part is then
     W_J, J the simple roots of zero free part.  Torsion phase: lift the
@@ -275,7 +289,7 @@ def alcove_form(rs: RootSystem, s: TorusElement):
         u = free_dominance(rs, s)
         s = torus_action(u, s)
     J = tuple(i for i, f in enumerate(s.free) if not any(f))
-    walls, omega, limit = _alcove_walls(rs, J)
+    walls, limit = _alcove_walls(rs, J)
     den = lcm(1, *(t.denominator for t in s.torsion))
     n = [t.numerator * (den // t.denominator) for t in s.torsion]
     rows = [list(row) for row in u.images]
@@ -287,7 +301,7 @@ def alcove_form(rs: RootSystem, s: TorusElement):
             root, pairs = next(((t, p) for t, p in walls if dot(t, n) > den), (None, None))
             if root is None:
                 a = TorusElement._reduced(tuple(Fraction(x % den, den) for x in n), s.free)
-                return a, WeylElement(rows), omega
+                return a, WeylElement(rows)
             excess = dot(root, n) - den
         n = [x - p * excess for x, p in zip(n, pairs)]
         for row in rows:
@@ -295,6 +309,14 @@ def alcove_form(rs: RootSystem, s: TorusElement):
             if c:
                 row[:] = [x - c * t for x, t in zip(row, root)]
     raise InternalConsistencyError("alcove descent failed to terminate")
+
+
+def kac_coordinates(rs: RootSystem, a: TorusElement):
+    """(d, k) for a finite-order alcove point a of a simple type: d = ord(a),
+    k_i = d.alpha_i(a) for i >= 1 and k_0 = d - sum_i m_i k_i."""
+    d = a.order()
+    k = [int(t * d) for t in a.torsion]
+    return d, (d - dot(rs.highest_root, k),) + tuple(k)
 
 
 def find_base_transport(rs: RootSystem, source_base, target_base):

@@ -158,3 +158,33 @@ def bfs_canonical_s_reps(rs, order_bound):
                         nxt.append(img)
             frontier = nxt
     return reps
+
+
+# -- the layered construction, the oracle of the Kac-coordinate normalization ---
+
+
+def layered_construction(rs, s, base):
+    """d and the nonempty layers (k, X_k) of the layered root construction
+    for finite-order s and a base ``base`` of its centralizer roots: Y_k holds
+    the roots of value k/d, Z_k the part of Y_k outside the Z-span of
+    Y_0..Y_{k-1}, and X_k the minimal elements of Z_k in the cone order of
+    ``base``; X_0 is ``base``."""
+    from endatlas._linalg import integer_cone_order, zspan_basis, zspan_contains
+
+    d = s.order()
+    ys = {}
+    for r in rs.all_roots:
+        t, _ = s.value_at(r)
+        assert (t * d).denominator == 1
+        ys.setdefault(int(t * d) % d, []).append(r)
+    leq = integer_cone_order(base, rs.rank)
+    layers = [(0, frozenset(base))] if base else []
+    basis, below = [], ys.pop(0, [])
+    for k in sorted(ys):
+        basis = zspan_basis(basis + below)
+        zk = [r for r in ys[k] if not (basis and zspan_contains(basis, r))]
+        minimal = [r for r in zk if not any(q != r and leq(q, r) for q in zk)]
+        if minimal:
+            layers.append((k, frozenset(minimal)))
+        below = ys[k]
+    return d, tuple(layers)

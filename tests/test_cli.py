@@ -283,6 +283,22 @@ def test_verify_cap_policy(capsys):
     ]) == 3
 
 
+@pytest.mark.parametrize("suite, bound", [
+    ("bijection", "-3"),
+    ("local-global", "-2"),
+    ("bijection", "0"),
+    ("local-global", "0"),
+])
+def test_verify_nonpositive_max_order_is_an_input_error(suite, bound, capsys):
+    """A bound below 1 neither falls back to the default nor runs over an
+    empty grid."""
+    assert main([
+        "verify", "--suite", suite, "--type", "A2",
+        "--galois", "trivial", "--max-order", bound,
+    ]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_restricted_places_certificate(capsys):
     assert main([
         "verify", "--suite", "local-global", "--type", "A2",

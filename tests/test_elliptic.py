@@ -182,6 +182,35 @@ def test_constructed_data_round_trip_layers(c2):
         assert ld.layer(1) == frozenset(c2.node_root(i) for i in pair.orbit)
 
 
+TWO_ROUTE_CONFIGS = [
+    (t, spec)
+    for t in ("A1", "A2", "A3", "A4", "B3", "C2", "C3", "G2", "D4")
+    for spec in ("trivial", "c2:inner", "c3:inner", "c2:outer", "c3:outer", "s3")
+    if (spec != "c2:outer" or t in ("A2", "A3", "A4", "D4"))
+    and (spec not in ("c3:outer", "s3") or t == "D4")
+]
+
+
+@pytest.mark.parametrize("type_name, spec", TWO_ROUTE_CONFIGS)
+def test_pair_to_datum_equals_the_normalized_raw_datum(type_name, spec):
+    """The hand-built datum of every pair is the normalization of the raw
+    datum on the same s and cocycle, in everything but u."""
+    from endatlas.elliptic import _pair_torus
+    from endatlas.endodata import make_datum
+
+    rs = build_root_system(type_name)
+    g = build_galois_model(spec, rs)
+    for pair in enumerate_pairs(rs, g):
+        built = pair_to_datum(rs, g, pair)
+        _, s = _pair_torus(rs, g, pair)
+        normed = langlands_normalize(make_datum(rs, g, s, pair.cocycle))[0]
+        assert built.s == normed.s
+        assert built.family == normed.family
+        assert built.bprime_base == normed.bprime_base
+        ld1, ld2 = built.langlands, normed.langlands
+        assert (ld1.d, ld1.layers, ld1.shape) == (ld2.d, ld2.layers, ld2.shape)
+
+
 def test_equivalence_relation_on_inventory(a2, c2):
     """Reflexive, symmetric, transitive on full inventories with witnesses."""
     for rs, spec, bound in [(a2, "c3:inner", 6), (c2, "c2:inner", 4)]:

@@ -6,10 +6,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
 from endatlas.galois import build_galois_model, places
-from endatlas.rootsys import build_root_system
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import WeylElement, enumerate_weyl, simple_reflections, torus_action
 from endatlas.endodata import (
@@ -29,7 +31,7 @@ from endatlas.endodata import (
     witness_transports,
 )
 
-from conftest import a1_swap_datum, a2_rotation_data, omega_sending_zero_to
+from conftest import a1_swap_datum, a2_rotation_data, layered_construction, omega_sending_zero_to
 
 F = Fraction
 
@@ -324,28 +326,9 @@ def test_raw_form_preserves_identity(c2):
     assert equivalent(back, d) is not None
 
 
-def test_layers_skip_the_span_basis_for_empty_level_sets(a1, monkeypatch):
-    """s = 1/4 on A1 has Y_2 empty; its layer needs no Z-span basis."""
-    import endatlas.endodata as endodata
-
-    calls = []
-    real = endodata.zspan_basis
-
-    def counting(vectors):
-        calls.append(list(vectors))
-        return real(vectors)
-
-    monkeypatch.setattr(endodata, "zspan_basis", counting)
-    d, layers = endodata._layers(a1, TorusElement([F(1, 4)]), ())
-    # Y_1 = {alpha} and Y_3 = {-alpha}; -alpha lies in the span of Y_1, so
-    # the only nonempty layer is X_1
-    assert d == 4 and layers == ((1, frozenset({(1,)})),)
-    assert len(calls) == 2
-
-
 def test_layers_of_a_large_order_element_stay_sparse(a1):
-    """s = 1/200000 on A1 has two nonempty level sets out of 200000; only
-    they are visited, and the layers hold X_1 alone."""
+    """s = 1/200000 on A1 has two nonempty level sets out of 200000; the
+    layers hold X_1 alone, with no work per residue of d."""
     g = build_galois_model("trivial", a1)
     d = make_datum(a1, g, TorusElement([F(1, 200000)]), {})
     nd, ld = langlands_normalize(d)
@@ -355,6 +338,56 @@ def test_layers_of_a_large_order_element_stay_sparse(a1):
     big = make_datum(a4, build_galois_model("trivial", a4),
                      TorusElement([F(1, 97), F(1, 99), F(1, 101), F(1, 103)]), {})
     assert equivalent(big, big).is_identity()
+
+
+def _assert_layers_match_the_oracle(datum):
+    """The layered construction on the raw datum, carried over by u, gives
+    the normalized layers; d is ord(s), and the shape is Delta exactly when
+    the layered set has rank elements."""
+    rs = datum.rs
+    _, ld = langlands_normalize(datum)
+    d, layers = layered_construction(rs, datum.s, datum.bprime_base)
+    assert ld.d == d == datum.s.order()
+    assert ld.layers == tuple((k, frozenset(ld.u(r) for r in x)) for k, x in layers)
+    size = sum(len(x) for _, x in layers)
+    assert (ld.shape, size) in (("Delta", rs.rank), ("DeltaA", rs.rank + 1))
+
+
+@st.composite
+def finite_order_elements(draw):
+    """A type through rank 8 and a torsion point of denominator 1-12 or 211,
+    moved by 0-8 random simple reflections."""
+    rs = build_root_system(draw(st.sampled_from(ALL_TYPES_THROUGH_RANK_8)))
+    den = draw(st.sampled_from(list(range(1, 13)) + [211]))
+    s = TorusElement([F(draw(st.integers(0, den - 1)), den) for _ in range(rs.rank)])
+    for j in draw(st.lists(st.integers(0, rs.rank - 1), max_size=8)):
+        s = torus_action(simple_reflections(rs)[j], s)
+    return rs, s
+
+
+@settings(max_examples=250, deadline=None)
+@given(finite_order_elements())
+def test_kac_layers_match_the_layered_construction(case):
+    rs, s = case
+    _assert_layers_match_the_oracle(make_datum(rs, build_galois_model("trivial", rs), s, {}))
+
+
+@pytest.mark.parametrize("type_name, spec", [
+    ("A1", "c2:inner"), ("A2", "c3:inner"), ("A2", "c2:outer"), ("C2", "c2:inner"),
+    ("G2", "c2:inner"), ("A3", "c2:outer"), ("B3", "c2:inner"), ("C3", "c2:inner"),
+])
+def test_kac_layers_match_the_layered_construction_on_inventories(type_name, spec):
+    """The same check on the inventory data at the default order bound;
+    all but G2 hold data with nontrivial cocycles."""
+    from endatlas.elliptic import brute_force_inventory
+    from endatlas.suites import default_order_bound
+
+    rs = build_root_system(type_name)
+    g = build_galois_model(spec, rs)
+    inventory = brute_force_inventory(rs, g, default_order_bound(rs, g))
+    assert inventory
+    for datum in inventory:
+        _assert_layers_match_the_oracle(datum)
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])

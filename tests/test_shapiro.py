@@ -9,14 +9,14 @@ from endatlas.errors import InvalidInput
 from endatlas.galois import _S3_NAMES, _s3_table, build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.endodata import equivalent, make_datum, principal_datum
+from endatlas.endodata import equivalent, is_elliptic, make_datum, out_group, principal_datum
 from endatlas.reduction import (
     equivalence_transfers_under_shapiro,
     make_induced_model,
     shapiro_descend,
     shapiro_induce,
 )
-from endatlas.suites import shapiro_configurations, _base_data_for
+from endatlas.suites import _z_table, shapiro_configurations, _base_data_for
 
 from conftest import omega_sending_zero_to
 
@@ -60,6 +60,18 @@ def test_trivial_induction_is_identity(a1):
     y = shapiro_induce(x, model)
     assert shapiro_descend(y, model) == x
     assert y.s.torsion == x.s.torsion
+
+
+def test_normalizing_a_product_datum_is_an_input_error(a1):
+    """The Langlands normalization is defined for simple types only; an
+    induced datum on A1 x A1 is refused rather than normalized."""
+    base = build_galois_model("c2:inner", a1)
+    model = make_induced_model(base, *_z_table(4), [0, 2])
+    x = make_datum(a1, base, TorusElement([F(1, 2)]), {})
+    y = shapiro_induce(x, model)
+    for check in (is_elliptic, out_group):
+        with pytest.raises(InvalidInput, match="simple"):
+            check(y)
 
 
 def test_embedding_validation(a1):

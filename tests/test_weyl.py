@@ -14,6 +14,7 @@ from endatlas.weyl import (
     DiagramAut,
     WeylElement,
     alcove_form,
+    alcove_omega,
     enumerate_affine_automorphisms,
     enumerate_delta_automorphisms,
     enumerate_weyl,
@@ -389,7 +390,8 @@ def test_alcove_form_lands_in_the_alcove(case):
     """a = u.s; the free part of a is lex-dominant, and every positive root
     of zero free part takes a value in [0, 1] on the lift of a's torsion."""
     rs, s, _ = case
-    a, u, omega = alcove_form(rs, s)
+    a, u = alcove_form(rs, s)
+    omega = alcove_omega(rs, a)
     assert torus_action(u, s) == a
     assert omega[0].is_identity()
     for r in rs.positives:
@@ -423,7 +425,7 @@ def test_omega_of_the_whole_diagram_is_omega(ct):
     """For J = Delta the products w0(Delta minus j).w0(Delta) over the mark-1
     nodes j, with the identity, are the Weyl elements of omega_group."""
     rs = build_root_system(ct)
-    omega = alcove_form(rs, TorusElement.identity(rs.rank))[2]
+    omega = alcove_omega(rs, TorusElement.identity(rs.rank))
     assert omega[0].is_identity()
     assert len(omega) == len(set(omega)) == len(omega_group(rs))
     assert set(omega) == {om.weyl for om in omega_group(rs)}
