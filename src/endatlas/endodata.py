@@ -340,20 +340,28 @@ def normalized_form(datum: EndoscopicDatum) -> EndoscopicDatum:
 # -- equivalence ------------------------------------------------------------------
 
 
+def _transporters(r1: EndoscopicDatum, r2: EndoscopicDatum):
+    """The elements u2^-1.om.u1, in order, for the alcove forms a_i = u_i.s_i
+    of two raw data and the om in Omega_J (``alcove_omega``) with om.a1 = a2.
+    Every w in W with w.s1 = s2 is one of them times an element of W(Phi_s2),
+    since Stab_W(a2) = W(Phi_a2) x| {om in Omega_J : om.a2 = a2}."""
+    rs = r1.rs
+    a1, u1 = alcove_form(rs, r1.s)
+    a2, u2 = (a1, u1) if r2.s == r1.s else alcove_form(rs, r2.s)
+    u2inv = u2.inverse()
+    for om in alcove_omega(rs, a1):
+        if torus_action(om, a1) == a2:
+            yield u2inv * om * u1
+
+
 def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum):
     """(w0, r1, r2): the raw forms with r1 transported by w0 onto the torus
     element of r2, or None when no Weyl element carries one to the other.
-    w0 = u2^-1.om.u1 for the alcove forms a_i = u_i.s_i and the first om in
-    Omega_J with om.a1 = a2; equal elements take the identity."""
+    w0 is the first of ``_transporters``; equal elements take the identity."""
     r1, r2 = raw_form(d1), raw_form(d2)
-    if r1.s == r2.s:
-        return WeylElement.identity(d1.rs.rank), r1, r2
-    a1, u1 = alcove_form(d1.rs, r1.s)
-    a2, u2 = alcove_form(d1.rs, r2.s)
-    om = next((om for om in alcove_omega(d1.rs, a1) if torus_action(om, a1) == a2), None)
-    if om is None:
+    w0 = next(_transporters(r1, r2), None)
+    if w0 is None:
         return None
-    w0 = u2.inverse() * om * u1
     return w0, transport_datum(r1, w0), r2
 
 
@@ -366,65 +374,18 @@ def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement)
 def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum):
     """Equivalence test; returns a witness Weyl element or None.
 
-    Finite-order data go through the layer normalization and the Omega
-    criterion; data with free parts are reduced to finite order first, and the
-    reduced witness is certified directly against the originals.
+    The first of ``_transporters`` that carries the raw form of d1 onto that
+    of d2, for simple and product systems, with or without free parts.  The
+    candidates are complete: W(Phi_s) fixes every raw datum on s, because
+    the Borel-canonical member of a W(Phi_s)-coset is unique.  So a witness
+    passes ``witness_transports`` by construction.
     """
     if d1.rs is not d2.rs:
         raise InvalidInput("data live on different root systems")
     if not d1.galois.same_model(d2.galois):
         raise InvalidInput("data live over different Galois models")
-    if not (d1.s.is_finite_order() and d2.s.is_finite_order()):
-        return _equivalent_infinite(d1, d2)
-    if not d1.rs.is_simple:
-        return equivalent_bruteforce(d1, d2)
-    reconciled = _reconcile(d1, d2)
-    if reconciled is None:
-        return None
-    w0, r1, r2 = reconciled
-    n1, ld1 = langlands_normalize(r1)
-    n2, ld2 = langlands_normalize(r2)
-    if ld1.shape != ld2.shape or ld1.layers != ld2.layers:
-        raise InternalConsistencyError(
-            "data with a common s produced different layer structures"
-        )
-    if ld1.shape == "Delta":
-        witness = ld2.u.inverse() * ld1.u * w0
-        if not witness_transports(d1, d2, witness):
-            raise InternalConsistencyError("Delta-shape witness failed certification")
-        return witness
-    rs = d1.rs
-    layers = [frozenset(rs.node_of_root(r) for r in x) for k, x in ld1.layers if k]
-    acts1 = [n1.node_action(a) for a in range(len(d1.galois))]
-    acts2 = [n2.node_action(a) for a in range(len(d2.galois))]
-    om = next(omega_conjugating(rs, layers, layers, acts1, acts2), None)
-    if om is None:
-        return None
-    witness = ld2.u.inverse() * om.weyl * ld1.u * w0
-    if not witness_transports(d1, d2, witness):
-        raise InternalConsistencyError(
-            "Omega witness failed certification against the raw data"
-        )
-    return witness
-
-
-def _equivalent_infinite(d1, d2):
-    from .reduction import finite_order_reduction
-
-    reconciled = _reconcile(d1, d2)
-    if reconciled is None:
-        return None
-    w0, r1, r2 = reconciled
-    red1, red2, _plan = finite_order_reduction(r1, r2)
-    w = equivalent(red1, red2)
-    if w is None:
-        return None
-    witness = w * w0
-    if not witness_transports(d1, d2, witness):
-        raise InternalConsistencyError(
-            "reduced-data witness failed to transport the original data"
-        )
-    return witness
+    r1, r2 = raw_form(d1), raw_form(d2)
+    return next((w for w in _transporters(r1, r2) if transport_datum(r1, w) == r2), None)
 
 
 def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: int = 50000):

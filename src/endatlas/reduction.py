@@ -70,7 +70,9 @@ def _free_exponent_basis(rs: RootSystem, s: TorusElement):
 
 
 def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
-    """The full plan for one torus element (already standardized)."""
+    """The full plan for one torus element (already standardized) of a
+    simple type; the class weights c read the marks."""
+    rs._require_simple()
     r_basis = _free_exponent_basis(rs, s)
     sigma_p, sigma_m = set(), set()
     free_of = {}
@@ -238,7 +240,7 @@ def fixers_agree(rs: RootSystem, s: TorusElement, t: TorusElement, maps) -> bool
 
 def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) -> bool:
     """Equivalence verdicts before (direct Weyl search) and after the reduction
-    (layer criterion on the reduced data) must agree; False falsifies."""
+    (``equivalent`` on the reduced data) must agree; False falsifies."""
     before = equivalent_bruteforce(d1, d2) is not None
     reconciled = _reconcile(d1, d2)
     if reconciled is None:

@@ -276,6 +276,14 @@ def test_verify_local_global(capsys):
     ]) == 0
 
 
+def test_verify_shapiro_on_b3(capsys):
+    """The S3 index-3 configuration induces B3 x B3 x B3, |W| = 110 592,
+    beyond the reach of a search over W."""
+    assert main(["verify", "--suite", "shapiro", "--type", "B3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and out["details"]["configurations"] == 4
+
+
 def test_verify_cap_policy(capsys):
     assert main([
         "verify", "--suite", "bijection", "--type", "E8",

@@ -149,6 +149,23 @@ def test_equivalent_agrees_with_brute_force(type_name, galois_spec, bound):
                 assert witness_transports(data[i], data[j], fast)
 
 
+def test_witness_undoes_the_free_dominance_step(d4):
+    """Two equivalent D4/c3:outer data with free parts, the second far from
+    lex-dominant: the witness is certified and exhaustive search agrees."""
+    g = build_galois_model("c3:outer", d4)
+    one, minus = (F(1), F(1)), (F(-1), F(-1))
+    zero = (F(0), F(0))
+    d1 = make_datum(d4, g, TorusElement([F(1, 2)] * 4, [zero, one, zero, zero]), {})
+    s2 = TorusElement([F(1, 2), F(0), F(1, 2), F(1, 2)], [one, minus, one, minus])
+    d2 = make_datum(d4, g, s2, {
+        "g1": [[0, 0, 0, 1], [0, 1, 0, 0], [-1, -2, -1, -1], [1, 0, 0, 0]],
+        "g2": [[-1, -2, -1, -1], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    })
+    w = equivalent(d1, d2)
+    assert w is not None and witness_transports(d1, d2, w)
+    assert equivalent_bruteforce(d1, d2) is not None
+
+
 # every preset that exists on rank <= 3 (c3:outer and s3 need D4)
 DIFFERENTIAL_CONFIGS = [
     ("A1", "trivial"), ("A1", "c2:inner"), ("A1", "c4:inner"),
@@ -159,15 +176,16 @@ DIFFERENTIAL_CONFIGS = [
 
 
 def test_equivalent_agrees_with_brute_force_on_random_data():
-    """The layer/Omega criterion against exhaustive Weyl search on random
-    finite-order data: a datum against another family on the same s, against
-    a random W-conjugate of such a datum, or against a datum on another s of
-    the same order."""
+    """equivalent against exhaustive Weyl search on random data, a third of
+    them with 1-2 free generators: a datum against another family on the same
+    s, against a random W-conjugate of such a datum, or against a datum on
+    another s of the same torsion denominator and generator count."""
     from endatlas.elliptic import _families_fixing
     from endatlas.endodata import EndoscopicDatum
 
-    def random_datum(rs, g, n):
-        s = TorusElement([F(rng.randrange(n), n) for _ in range(rs.rank)])
+    def random_datum(rs, g, n, gens):
+        free = [tuple(F(rng.randrange(-1, 2)) for _ in range(gens)) for _ in range(rs.rank)]
+        s = TorusElement([F(rng.randrange(n), n) for _ in range(rs.rank)], free if gens else None)
         fams = _families_fixing(rs, g, s, enumerate_weyl(rs))
         if not fams:
             return None
@@ -182,12 +200,13 @@ def test_equivalent_agrees_with_brute_force_on_random_data():
         rs = build_root_system(type_name)
         g = build_galois_model(spec, rs)
         n = rng.choice((1, 2, 3, 4, 6))
-        d1 = random_datum(rs, g, n)
+        gens = rng.choice((0, 0, 0, 0, 1, 2))
+        d1 = random_datum(rs, g, n, gens)
         if d1 is None:
             continue
         mode = rng.randrange(3)
         if mode == 2:
-            d2 = random_datum(rs, g, n)
+            d2 = random_datum(rs, g, n, gens)
             if d2 is None:
                 continue
         else:
@@ -199,7 +218,7 @@ def test_equivalent_agrees_with_brute_force_on_random_data():
                 d2 = transport_datum(d2, rng.choice(enumerate_weyl(rs)))
         fast = equivalent(d1, d2)
         slow = equivalent_bruteforce(d1, d2)
-        assert (fast is None) == (slow is None), (type_name, spec, s, d1.family, d2.family)
+        assert (fast is None) == (slow is None), (type_name, spec, d1.s, d1.family, d2.family)
         if fast is not None:
             assert witness_transports(d1, d2, fast)
         verdicts.add(fast is None)

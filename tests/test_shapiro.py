@@ -1,6 +1,7 @@
 """Restriction of scalars: induction and descent of data between a subgroup
 model on a base system and the ambient model on the induced product."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,23 @@ from endatlas.errors import InvalidInput
 from endatlas.galois import _S3_NAMES, _s3_table, build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.endodata import equivalent, is_elliptic, make_datum, out_group, principal_datum
+from endatlas.weyl import enumerate_weyl
+from endatlas.elliptic import _families_fixing
+from endatlas.endodata import (
+    EndoscopicDatum,
+    equivalent,
+    equivalent_bruteforce,
+    is_elliptic,
+    make_datum,
+    out_group,
+    principal_datum,
+    standard_bprime_base,
+    transport_datum,
+    witness_transports,
+)
 from endatlas.reduction import (
     equivalence_transfers_under_shapiro,
+    finite_order_reduction,
     make_induced_model,
     shapiro_descend,
     shapiro_induce,
@@ -72,6 +87,18 @@ def test_normalizing_a_product_datum_is_an_input_error(a1):
     for check in (is_elliptic, out_group):
         with pytest.raises(InvalidInput, match="simple"):
             check(y)
+
+
+def test_reducing_a_product_datum_is_an_input_error(a1):
+    """The finite-order reduction reads the marks of a simple type; an induced
+    datum with a free part on A1 x A1 is refused, and equivalent decides it
+    without the reduction."""
+    model = _z2_model(a1)
+    x = make_datum(a1, model.base_galois, TorusElement([F(1, 2)], [(F(1),)]), {})
+    y = shapiro_induce(x, model)
+    with pytest.raises(InvalidInput, match="simple"):
+        finite_order_reduction(y, y)
+    assert equivalent(y, y).is_identity()
 
 
 def test_embedding_validation(a1):
@@ -144,3 +171,40 @@ def test_weyl_twisted_pair_transfers(a2):
     y1 = shapiro_induce(x, model)
     y2 = shapiro_induce(twisted, model)
     assert equivalent(y1, y2) is not None
+
+
+def test_equivalent_agrees_with_brute_force_on_induced_systems():
+    """equivalent against exhaustive Weyl search on the induced product
+    systems of the A1, A2, C2 and G2 battery: the induced base inventory and
+    induced random base data with 0-1 free generators, against Weyl
+    transports of the same; every witness is certified."""
+    rng = random.Random(8)
+    verdicts, free_pairs = set(), 0
+    for t, spec, names, table, emb in shapiro_configurations(("A1", "A2", "C2", "G2")):
+        rs = build_root_system(t)
+        base = build_galois_model(spec, rs)
+        model = make_induced_model(base, names, table, emb)
+        gens = rng.randrange(2)
+        s = TorusElement(
+            [F(rng.randrange(4), 4) for _ in range(rs.rank)],
+            [tuple(F(rng.randrange(-1, 2)) for _ in range(gens)) for _ in range(rs.rank)]
+            if gens else None,
+        )
+        fams = _families_fixing(rs, base, s, enumerate_weyl(rs))
+        drawn = [
+            shapiro_induce(EndoscopicDatum(rs, base, s, f, standard_bprime_base(rs, s)), model)
+            for f in rng.sample(fams, min(2, len(fams)))
+        ]
+        pool = [shapiro_induce(x, model) for x in _base_data_for(rs, base)] + drawn
+        weyl = enumerate_weyl(model.rs)
+        for k in range(6):
+            side = drawn if drawn and k % 2 else pool
+            d1 = rng.choice(side)
+            d2 = transport_datum(rng.choice(side), rng.choice(weyl))
+            fast = equivalent(d1, d2)
+            assert (fast is None) == (equivalent_bruteforce(d1, d2) is None), (t, spec, k)
+            if fast is not None:
+                assert witness_transports(d1, d2, fast)
+            verdicts.add(fast is None)
+            free_pairs += not d2.s.is_finite_order()
+    assert verdicts == {True, False} and free_pairs
