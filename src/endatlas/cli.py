@@ -38,7 +38,15 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-SUITES = ("bijection", "local-global", "reduction", "shapiro")
+VERIFY_FLAGS = ("type", "galois", "max_order", "cap_orbit", "places")
+# the verify flags each suite reads; giving any other one is an input error
+SUITE_FLAGS = {
+    "bijection": ("type", "galois", "max_order", "cap_orbit"),
+    "local-global": ("type", "galois", "max_order", "cap_orbit", "places"),
+    "reduction": (),
+    "shapiro": ("type",),
+}
+SUITES = tuple(SUITE_FLAGS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--galois", help="preset name or table:PATH")
     ver.add_argument("--max-order", type=int, default=None)
     ver.add_argument(
-        "--cap-orbit", type=int, default=DEFAULT_WORK_CAP,
-        help="cost cap of the brute-force inventory (bijection, local-global, --places); "
-        "the Galois-order and rank caps stay at 10^6",
+        "--cap-orbit", type=int, default=None,
+        help="cost cap of the brute-force inventory (bijection, local-global, --places; "
+        "default 10^6); the Galois-order and rank caps stay at 10^6",
     )
     ver.add_argument("--places", help="comma-separated generators restricting the place family")
     ver.add_argument("--format", choices=("json", "md"), default="json")
@@ -107,12 +115,18 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    read = SUITE_FLAGS[args.suite]
+    unread = [f for f in VERIFY_FLAGS if f not in read and getattr(args, f) is not None]
+    if unread:
+        flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise InvalidInput(f"suite {args.suite!r} does not read {flags}")
+    cap = DEFAULT_WORK_CAP if args.cap_orbit is None else args.cap_orbit
     if args.suite in ("bijection", "local-global"):
         if not args.type or not args.galois:
             raise InvalidInput(f"suite {args.suite!r} needs --type and --galois")
         run = bijection_suite if args.suite == "bijection" else local_global_suite
         try:
-            result = run(args.type, args.galois, max_order=args.max_order, cap=args.cap_orbit)
+            result = run(args.type, args.galois, max_order=args.max_order, cap=cap)
         except CapExceeded as exc:
             _emit(
                 dumps({"suite": args.suite, "ok": False, "cap_exceeded": str(exc)}),
@@ -120,7 +134,7 @@ def _cmd_verify(args) -> int:
             )
             return EXIT_CAP
         extra = {}
-        if args.suite == "local-global" and args.places:
+        if args.suite == "local-global" and args.places is not None:
             rs = build_root_system(args.type)
             galois = build_galois_model(args.galois, rs)
             wanted = {x.strip() for x in args.places.split(",")}
@@ -128,7 +142,7 @@ def _cmd_verify(args) -> int:
             if not subset:
                 raise InvalidInput("no listed place matches --places")
             bound = result.details["order_bound"]
-            cert = counterexample_search(rs, galois, subset, bound, cap=args.cap_orbit)
+            cert = counterexample_search(rs, galois, subset, bound, cap=cap)
             extra["restricted_places"] = sorted(p.name(galois) for p in subset)
             extra["certificate"] = (
                 certificate_to_dict(cert, galois) if cert is not None else None

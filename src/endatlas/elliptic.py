@@ -160,9 +160,11 @@ class ClassificationReport:
 
 
 def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationReport:
-    """Group the pairs by equivalence and attach the constructed data."""
-    from .endodata import out_group
+    """Group the pairs by equivalence and attach the constructed data.
 
+    The shape and Out are read off the representative pair: an orbit of
+    weight d = 1 is the principal datum (shape Delta, no Out), and otherwise
+    Out is the Omega stabilizer of the orbit and the composite action."""
     pairs = enumerate_pairs(rs, galois)
     classes: list[list[EllipticPair]] = []
     for p in pairs:
@@ -185,8 +187,10 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
         action = tuple(
             tuple((i, sp[a](i)) for i in dual_nodes) for a in range(len(galois))
         )
-        shape = datum.langlands.shape
-        osize = len(out_group(datum)) if shape == "DeltaA" else None
+        shape = "Delta" if d == 1 else "DeltaA"
+        osize = None if d == 1 else sum(
+            1 for _ in omega_conjugating(rs, [rep.orbit], [rep.orbit], sp, sp)
+        )
         entries.append(
             ClassEntry(
                 pair=rep,
@@ -340,6 +344,8 @@ def brute_force_inventory(
     """
     if order_bound < 1:
         raise InvalidInput(f"order bound {order_bound} is not a positive integer")
+    if cap < 1:
+        raise InvalidInput(f"cost cap {cap} is not a positive integer")
     cost = _work_estimate(rs, galois, order_bound)
     if cost > cap:
         raise CapExceeded(

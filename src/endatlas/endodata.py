@@ -333,10 +333,6 @@ def langlands_normalize(datum: EndoscopicDatum):
     return out, ld
 
 
-def normalized_form(datum: EndoscopicDatum) -> EndoscopicDatum:
-    return datum if datum.normalized else langlands_normalize(datum)[0]
-
-
 # -- equivalence ------------------------------------------------------------------
 
 
@@ -408,7 +404,7 @@ def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: in
 
 def out_group(datum: EndoscopicDatum):
     """Out of the datum: the Omega elements stabilizing the layers and the action."""
-    nd = normalized_form(datum)
+    nd = langlands_normalize(datum)[0]
     if nd.langlands.shape != "DeltaA":
         raise InvalidInput(
             "Out is defined by the layer criterion only when the layered set is "
@@ -421,6 +417,7 @@ def out_group(datum: EndoscopicDatum):
 
 
 def _orbit_count(perms, items):
+    """The number of orbits on ``items`` of the group generated by the callables."""
     items = list(items)
     parent = {x: x for x in items}
 
@@ -432,37 +429,27 @@ def _orbit_count(perms, items):
 
     for p in perms:
         for x in items:
-            a, b = find(x), find(p[x] if isinstance(p, dict) else p(x))
+            a, b = find(x), find(p(x))
             if a != b:
                 parent[a] = b
     return len({find(x) for x in items})
 
 
 def is_elliptic(datum: EndoscopicDatum) -> bool:
-    """Ellipticity: the fixed space of the action is no larger than forced.
+    """Ellipticity, Z(H)^{Gamma,0} in Z(G), on the adjoint dual torus:
+    dim X*(T)_Q^Gamma equals the number of Gamma-orbits on the base of Phi_s.
 
-    Via the projection from the span of the completed diagram, this is the
-    equality dim Q[Delta_a]^Gamma = 1 + dim Q[X_0]^Gamma for shape Delta_a,
-    and dim X*(T)^Gamma = dim Q[X_0]^Gamma for shape Delta.
+    The base is the stored ``bprime_base``, which every composite action
+    permutes in either Borel convention, so the test needs no normalization
+    and holds for simple and product systems alike.  A free part of s is a
+    fixed direction off the span of the base, so data with free parts are
+    never elliptic.
     """
-    nd = normalized_form(datum)
-    rs = nd.rs
-    n = len(nd.galois)
-    x0 = sorted(nd.langlands.layer(0))
-    if nd.langlands.shape == "DeltaA":
-        acts = [nd.node_action(a) for a in range(n)]
-        all_orbits = _orbit_count(acts, rs.affine_nodes)
-        x0_nodes = [rs.node_of_root(r) for r in x0]
-        return all_orbits == 1 + _orbit_count(acts, x0_nodes)
-    dim_fixed = fixed_space_dimension([a.images for a in nd.family], rs.rank)
-    x0_set = set(x0)
-    perms = []
-    for a in range(n):
-        mapping = {r: nd.family[a](r) for r in x0}
-        if set(mapping.values()) != x0_set:
-            raise InternalConsistencyError("the action does not permute the base layer")
-        perms.append(mapping)
-    return dim_fixed == _orbit_count(perms, x0)
+    base = datum.bprime_base
+    if any({a(b) for b in base} != set(base) for a in datum.family):
+        raise InternalConsistencyError("the action does not permute the base")
+    dim_fixed = fixed_space_dimension([a.images for a in datum.family], datum.rs.rank)
+    return dim_fixed == _orbit_count(datum.family, base)
 
 
 def localize(datum: EndoscopicDatum, place: Place) -> EndoscopicDatum:

@@ -104,8 +104,9 @@ def counterexample_search(
     """Search the inventory for pairs locally equivalent on the given places
     but globally inequivalent; returns a Certificate or None.
 
-    With ``remark_mode`` the candidate pairs must additionally be simultaneously
-    elliptic or non-elliptic at every place, and equivalent wherever elliptic.
+    With ``remark_mode`` the pairs are compared at every place instead: they
+    must be simultaneously elliptic or non-elliptic there, and equivalent
+    wherever elliptic; the certificate lists the elliptic places.
     """
     all_places = places(galois)
     subset = list(place_subset)
@@ -113,44 +114,30 @@ def counterexample_search(
         if v not in all_places:
             raise InvalidInput("place subset contains a place of another model")
     inventory = brute_force_inventory(rs, galois, order_bound, cap=cap)
+    family = all_places if remark_mode else subset
     for i in range(len(inventory)):
         for j in range(i + 1, len(inventory)):
             d1, d2 = inventory[i], inventory[j]
             if equivalent(d1, d2) is not None:
                 continue
-            if remark_mode:
-                ok = True
-                witnesses = []
-                for v in all_places:
-                    l1, l2 = localize(d1, v), localize(d2, v)
-                    e1, e2 = is_elliptic(l1), is_elliptic(l2)
-                    if e1 != e2:
-                        ok = False
-                        break
-                    if e1:
-                        w = equivalent(l1, l2)
-                        if w is None:
-                            ok = False
-                            break
-                        witnesses.append((v, w))
-                if ok:
-                    return Certificate(
-                        datum1=d1,
-                        datum2=d2,
-                        place_family=[v for v, _ in witnesses],
-                        local_witnesses=[w for _, w in witnesses],
-                    )
-                continue
             witnesses = []
-            ok = True
-            for v in subset:
-                w = equivalent(localize(d1, v), localize(d2, v))
+            for v in family:
+                l1, l2 = localize(d1, v), localize(d2, v)
+                if remark_mode:
+                    e1 = is_elliptic(l1)
+                    if e1 != is_elliptic(l2):
+                        break
+                    if not e1:
+                        continue
+                w = equivalent(l1, l2)
                 if w is None:
-                    ok = False
                     break
-                witnesses.append(w)
-            if ok:
+                witnesses.append((v, w))
+            else:
                 return Certificate(
-                    datum1=d1, datum2=d2, place_family=subset, local_witnesses=witnesses
+                    datum1=d1,
+                    datum2=d2,
+                    place_family=[v for v, _ in witnesses],
+                    local_witnesses=[w for _, w in witnesses],
                 )
     return None

@@ -16,7 +16,7 @@ from .rootsys import RootSystem, build_root_system
 from .torus import TorusElement
 from .weyl import enumerate_delta_automorphisms, enumerate_weyl
 from .weyl import torus_action, weyl_membership
-from .endodata import EndoscopicDatum, equivalent, standard_bprime_base
+from .endodata import EndoscopicDatum, equivalent, is_elliptic, standard_bprime_base
 from .elliptic import (
     _families_fixing,
     brute_force_inventory,
@@ -250,6 +250,8 @@ def shapiro_suite(base_types=("A1", "A2")) -> SuiteResult:
         tag = f"{t}/{base_spec} in {'|'.join(names)}"
         for x in pool:
             y = shapiro_induce(x, model)
+            if is_elliptic(y) != is_elliptic(x):
+                failures.append(f"{tag}: ellipticity did not transfer")
             back = shapiro_descend(y, model)
             if back != x:
                 failures.append(f"{tag}: descend(induce(x)) differs from x")

@@ -188,3 +188,26 @@ def layered_construction(rs, s, base):
             layers.append((k, frozenset(minimal)))
         below = ys[k]
     return d, tuple(layers)
+
+
+# -- the layer criterion, the oracle of ellipticity -------------------------------
+
+
+def layer_criterion_elliptic(datum):
+    """Ellipticity read off the Langlands normalization of a finite-order datum
+    of simple type: for shape Delta_a, dim Q[Delta_a]^Gamma = 1 + dim Q[X_0]^Gamma
+    on the affine nodes; for shape Delta, dim X*(T)^Gamma = dim Q[X_0]^Gamma."""
+    from endatlas._linalg import fixed_space_dimension
+    from endatlas.endodata import _orbit_count, langlands_normalize
+
+    nd, ld = langlands_normalize(datum)
+    rs = nd.rs
+    x0 = sorted(ld.layer(0))
+    if ld.shape == "DeltaA":
+        acts = [nd.node_action(a) for a in range(len(nd.galois))]
+        x0_nodes = [rs.node_of_root(r) for r in x0]
+        return _orbit_count(acts, rs.affine_nodes) == 1 + _orbit_count(acts, x0_nodes)
+    for a in nd.family:
+        assert {a(r) for r in x0} == set(x0), "the action does not permute the base layer"
+    dim_fixed = fixed_space_dimension([a.images for a in nd.family], rs.rank)
+    return dim_fixed == _orbit_count(nd.family, x0)

@@ -307,6 +307,56 @@ def test_verify_nonpositive_max_order_is_an_input_error(suite, bound, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("suite, cap", [
+    ("bijection", "0"),
+    ("bijection", "-5"),
+    ("local-global", "0"),
+    ("local-global", "-5"),
+])
+def test_verify_nonpositive_cap_is_an_input_error(suite, cap, capsys):
+    """A cap below 1 is refused, not reported as exceeded."""
+    assert main([
+        "verify", "--suite", suite, "--type", "A1",
+        "--galois", "trivial", "--cap-orbit", cap,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--suite", "bijection", "--type", "A1", "--galois", "trivial", "--places", "e"],
+     "--places"),
+    (["--suite", "reduction", "--type", "E8", "--galois", "bogus"], "--type, --galois"),
+    (["--suite", "reduction", "--cap-orbit", "1000000"], "--cap-orbit"),
+    (["--suite", "shapiro", "--galois", "bogus", "--max-order", "3"],
+     "--galois, --max-order"),
+])
+def test_verify_refuses_flags_its_suite_never_reads(argv, unread, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip().endswith(f"does not read {unread}")
+
+
+def test_verify_empty_places_is_an_input_error(capsys):
+    """An empty --places lists no place; it does not fall back to the plain suite."""
+    assert main([
+        "verify", "--suite", "local-global", "--type", "A1",
+        "--galois", "trivial", "--places", "",
+    ]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_local_global_reads_every_flag(capsys):
+    """local-global reads all of them: an explicit default cap and order
+    bound give the bytes of the defaults."""
+    args = ["verify", "--suite", "local-global", "--type", "A2",
+            "--galois", "c3:inner", "--places", "e"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--cap-orbit", "1000000", "--max-order", "6"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_verify_restricted_places_certificate(capsys):
     assert main([
         "verify", "--suite", "local-global", "--type", "A2",

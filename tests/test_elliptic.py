@@ -9,7 +9,8 @@ from endatlas.errors import CapExceeded
 from endatlas.galois import build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.endodata import equivalent, is_elliptic, langlands_normalize
+from endatlas.endodata import equivalent, is_elliptic, langlands_normalize, out_group
+from endatlas.weyl import omega_conjugating
 from endatlas.elliptic import (
     DEFAULT_WORK_CAP,
     _build_inventory,
@@ -335,3 +336,22 @@ def test_canonical_s_reps_match_the_bfs_closure(name, bound):
     as closing every W-orbit by breadth-first search."""
     rs = build_root_system(name)
     assert _canonical_s_reps(rs, bound) == bfs_canonical_s_reps(rs, bound)
+
+
+@pytest.mark.parametrize("type_name, spec", TWO_ROUTE_CONFIGS)
+def test_classify_reads_shape_and_out_off_the_pair(type_name, spec):
+    """The shape is Delta exactly for an orbit of weight 1, and Out is the
+    Omega stabilizer of the orbit and the action: the values the layer
+    criterion gives on the normalized datum."""
+    rs = build_root_system(type_name)
+    galois = build_galois_model(spec, rs)
+    for entry in classify_elliptic(rs, galois).classes:
+        assert entry.shape == ("Delta" if entry.d == 1 else "DeltaA")
+        assert entry.shape == langlands_normalize(entry.datum)[1].shape
+        if entry.d == 1:
+            assert entry.out_size is None
+            continue
+        sp = [entry.pair.cocycle.sigma_prime(galois, a) for a in range(len(galois))]
+        orbit = [entry.pair.orbit]
+        stabilizer = list(omega_conjugating(rs, orbit, orbit, sp, sp))
+        assert entry.out_size == len(stabilizer) == len(out_group(entry.datum))

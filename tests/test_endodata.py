@@ -14,7 +14,10 @@ from endatlas.galois import build_galois_model, places
 from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import WeylElement, enumerate_weyl, simple_reflections, torus_action
+from endatlas.elliptic import _canonical_s_reps, _families_fixing, classify_elliptic
+from endatlas.suites import _random_torus
 from endatlas.endodata import (
+    EndoscopicDatum,
     equivalent,
     equivalent_bruteforce,
     is_elliptic,
@@ -31,7 +34,13 @@ from endatlas.endodata import (
     witness_transports,
 )
 
-from conftest import a1_swap_datum, a2_rotation_data, layered_construction, omega_sending_zero_to
+from conftest import (
+    a1_swap_datum,
+    a2_rotation_data,
+    layer_criterion_elliptic,
+    layered_construction,
+    omega_sending_zero_to,
+)
 
 F = Fraction
 
@@ -246,6 +255,63 @@ def test_is_elliptic_cases(a1):
     assert is_elliptic(d_noell) is False
     d_swap, _ = a1_swap_datum(a1)
     assert is_elliptic(d_swap) is True
+
+
+def _presets(rs):
+    """The presets of the type: the cyclic inner ones of order up to 3, and
+    every outer one the diagram allows."""
+    models = []
+    for spec in ("trivial", "c2:inner", "c3:inner", "c2:outer", "c3:outer", "s3"):
+        try:
+            models.append(build_galois_model(spec, rs))
+        except InvalidInput:
+            pass
+    return models
+
+
+@pytest.mark.parametrize("type_name, bound", [
+    ("A1", 4), ("A2", 4), ("C2", 4), ("G2", 4), ("A3", 4), ("B3", 4), ("C3", 4), ("D4", 2),
+])
+def test_is_elliptic_agrees_with_the_layer_criterion(type_name, bound):
+    """The definition against the layer criterion on the Langlands
+    normalization: every family fixing a canonical s of the grid, its
+    localizations at every place, and the normalized classification
+    representatives."""
+    rs = build_root_system(type_name)
+    weyl = enumerate_weyl(rs)
+    verdicts = set()
+    for galois in _presets(rs):
+        data = [e.datum for e in classify_elliptic(rs, galois).classes]
+        for s in _canonical_s_reps(rs, bound):
+            base = standard_bprime_base(rs, s)
+            for family in _families_fixing(rs, galois, s, weyl):
+                d = EndoscopicDatum(rs, galois, s, family, base, _validate=False)
+                data.append(d)
+                data.extend(localize(d, v) for v in places(galois))
+        for d in data:
+            verdict = is_elliptic(d)
+            assert verdict == layer_criterion_elliptic(d), (galois.names, d.s, d.key())
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_data_with_free_parts_are_never_elliptic():
+    """A free part of s is a Gamma-fixed direction off the span of the base."""
+    rng = random.Random(909)
+    checked = 0
+    for type_name in ("A1", "A2", "C2", "G2", "A3"):
+        rs = build_root_system(type_name)
+        weyl = enumerate_weyl(rs)
+        for galois in _presets(rs):
+            for _ in range(8):
+                s = _random_torus(rng, rs.rank, rng.choice((1, 2)), force_free=True)
+                assert not s.is_finite_order()
+                base = standard_bprime_base(rs, s)
+                for family in _families_fixing(rs, galois, s, weyl)[:4]:
+                    d = EndoscopicDatum(rs, galois, s, family, base, _validate=False)
+                    assert is_elliptic(d) is False, (type_name, galois.names, s)
+                    checked += 1
+    assert checked > 100
 
 
 def test_localize_cases(a1, a2):

@@ -31,7 +31,7 @@ from endatlas.reduction import (
     shapiro_descend,
     shapiro_induce,
 )
-from endatlas.suites import _z_table, shapiro_configurations, _base_data_for
+from endatlas.suites import _z_table, shapiro_configurations, shapiro_suite, _base_data_for
 
 from conftest import omega_sending_zero_to
 
@@ -84,9 +84,33 @@ def test_normalizing_a_product_datum_is_an_input_error(a1):
     model = make_induced_model(base, *_z_table(4), [0, 2])
     x = make_datum(a1, base, TorusElement([F(1, 2)]), {})
     y = shapiro_induce(x, model)
-    for check in (is_elliptic, out_group):
-        with pytest.raises(InvalidInput, match="simple"):
-            check(y)
+    with pytest.raises(InvalidInput, match="simple"):
+        out_group(y)
+
+
+def test_ellipticity_transfers_under_induction(a1):
+    """Induction keeps the verdict of the definition on the product system:
+    the A1 inventories (elliptic), s = -1 with the trivial cocycle (not
+    elliptic; the torus splits) and a datum with a free part."""
+    verdicts = set()
+    for t, spec, names, table, emb in shapiro_configurations(("A1",)):
+        base = build_galois_model(spec, a1)
+        model = make_induced_model(base, names, table, emb)
+        split = make_datum(a1, base, TorusElement([F(1, 2)]), {})
+        free = make_datum(a1, base, TorusElement([F(1, 2)], [(F(1),)]), {})
+        assert not is_elliptic(split) and not is_elliptic(free)
+        for x in _base_data_for(a1, base) + [split, free]:
+            verdict = is_elliptic(x)
+            assert is_elliptic(shapiro_induce(x, model)) == verdict, (spec, names, x.s)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_shapiro_suite_reports_an_ellipticity_mismatch(monkeypatch):
+    monkeypatch.setattr("endatlas.suites.is_elliptic", lambda d: d.rs.is_simple)
+    result = shapiro_suite(("A1",))
+    assert not result.ok
+    assert any(f.endswith("ellipticity did not transfer") for f in result.failures)
 
 
 def test_reducing_a_product_datum_is_an_input_error(a1):
