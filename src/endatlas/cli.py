@@ -125,7 +125,15 @@ def _cmd_verify(args) -> int:
         if not args.type or not args.galois:
             raise InvalidInput(f"suite {args.suite!r} needs --type and --galois")
         run = bijection_suite if args.suite == "bijection" else local_global_suite
+        subset = None
         try:
+            if args.suite == "local-global" and args.places is not None:
+                rs = build_root_system(args.type)
+                galois = build_galois_model(args.galois, rs)
+                wanted = {x.strip() for x in args.places.split(",")}
+                subset = [p for p in places(galois) if galois.names[p.generator] in wanted]
+                if not subset:
+                    raise InvalidInput("no listed place matches --places")
             result = run(args.type, args.galois, max_order=args.max_order, cap=cap)
         except CapExceeded as exc:
             _emit(
@@ -134,13 +142,7 @@ def _cmd_verify(args) -> int:
             )
             return EXIT_CAP
         extra = {}
-        if args.suite == "local-global" and args.places is not None:
-            rs = build_root_system(args.type)
-            galois = build_galois_model(args.galois, rs)
-            wanted = {x.strip() for x in args.places.split(",")}
-            subset = [p for p in places(galois) if galois.names[p.generator] in wanted]
-            if not subset:
-                raise InvalidInput("no listed place matches --places")
+        if subset is not None:
             bound = result.details["order_bound"]
             cert = counterexample_search(rs, galois, subset, bound, cap=cap)
             extra["restricted_places"] = sorted(p.name(galois) for p in subset)

@@ -31,6 +31,7 @@ from .weyl import (
 from .endodata import (
     EndoscopicDatum,
     LanglandsData,
+    _orbits,
     _standard_borel,
     canonicalize_action,
     centralizer_roots,
@@ -53,30 +54,12 @@ class EllipticPair:
         return (self.cocycle.key(), tuple(sorted(self.orbit)))
 
 
-def _orbit_of(node: int, perms) -> frozenset:
-    """The orbit of an affine node under the group generated by the permutations."""
-    orbit = {node}
-    frontier = [node]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in perms:
-                y = p(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(orbit)
-
-
 def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
     n = len(galois)
     sp = [pair.cocycle.sigma_prime(galois, a) for a in range(n)]
     if not galois.is_homomorphism(sp):
         raise InvalidInput("pair cocycle is not a cocycle")
-    if not pair.orbit:
-        raise InvalidInput("orbit must be nonempty")
-    if _orbit_of(min(pair.orbit), sp) != pair.orbit:
+    if pair.orbit not in _orbits(sp, rs.affine_nodes):
         raise InvalidInput("orbit is not a single orbit of the composite action")
 
 
@@ -85,13 +68,7 @@ def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
     pairs = []
     for c in enumerate_cocycles(galois, omega_group(rs)):
         sp = [c.sigma_prime(galois, a) for a in range(len(galois))]
-        seen = set()
-        for node in rs.affine_nodes:
-            if node in seen:
-                continue
-            orbit = _orbit_of(node, sp)
-            seen |= orbit
-            pairs.append(EllipticPair(cocycle=c, orbit=orbit))
+        pairs.extend(EllipticPair(cocycle=c, orbit=o) for o in _orbits(sp, rs.affine_nodes))
     return sorted(pairs, key=EllipticPair.sort_key)
 
 

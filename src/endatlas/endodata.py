@@ -416,23 +416,24 @@ def out_group(datum: EndoscopicDatum):
     return list(omega_conjugating(rs, layers, layers, acts, acts))
 
 
-def _orbit_count(perms, items):
-    """The number of orbits on ``items`` of the group generated by the callables."""
-    items = list(items)
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for x in items:
-            a, b = find(x), find(p(x))
-            if a != b:
-                parent[a] = b
-    return len({find(x) for x in items})
+def _orbits(perms, items):
+    """The orbits on ``items`` of the group generated by the permutations
+    ``perms`` (callables), as frozensets in the order of their first member."""
+    orbits, seen = [], set()
+    for x in items:
+        if x in seen:
+            continue
+        orbit, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for p in perms:
+                z = p(y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
 
 
 def is_elliptic(datum: EndoscopicDatum) -> bool:
@@ -449,7 +450,7 @@ def is_elliptic(datum: EndoscopicDatum) -> bool:
     if any({a(b) for b in base} != set(base) for a in datum.family):
         raise InternalConsistencyError("the action does not permute the base")
     dim_fixed = fixed_space_dimension([a.images for a in datum.family], datum.rs.rank)
-    return dim_fixed == _orbit_count(datum.family, base)
+    return dim_fixed == len(_orbits(datum.family, base))
 
 
 def localize(datum: EndoscopicDatum, place: Place) -> EndoscopicDatum:

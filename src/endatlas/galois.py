@@ -87,44 +87,31 @@ class GaloisModel:
         """Indices acting trivially on the diagram (the model's Gamma_E)."""
         return [a for a in range(len(self)) if self.action[a].is_identity()]
 
-    def generating_set(self):
-        gens: list[int] = []
-        closure = {0}
+    def words(self):
+        """Generators and one word in them per element: ``(gens, word)``.
+
+        Each generator is the least element outside the subgroup generated so
+        far.  A breadth-first walk over right multiplication by the generators,
+        resumed from every element reached whenever a generator is added,
+        writes ``word[e]``: generators whose product, read left to right, is
+        e.  The identity has the empty word.
+        """
+        gens, word = [], {0: ()}
         for a in range(len(self)):
-            if a in closure:
+            if a in word:
                 continue
             gens.append(a)
-            frontier = [a]
+            frontier = list(word)
             while frontier:
                 nxt = []
-                for x in closure | set(frontier):
+                for x in frontier:
                     for g in gens:
-                        for y in (self.table[x][g], self.table[g][x]):
-                            if y not in closure and y not in frontier and y not in nxt:
-                                nxt.append(y)
-                closure |= set(frontier)
+                        y = self.table[x][g]
+                        if y not in word:
+                            word[y] = word[x] + (g,)
+                            nxt.append(y)
                 frontier = nxt
-            if len(closure) == len(self):
-                break
-        return gens
-
-    def words(self):
-        """One generator word per element, identity = empty word."""
-        gens = self.generating_set()
-        word = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in word:
-                        word[y] = word[x] + (g,)
-                        nxt.append(y)
-            frontier = nxt
-        if len(word) != len(self):
-            raise InternalConsistencyError("generating set does not generate")
-        return word
+        return gens, word
 
     def is_homomorphism(self, values) -> bool:
         """Whether values[a . b] = values[a] * values[b] for all elements a, b."""
@@ -138,8 +125,7 @@ class GaloisModel:
         in the order of the product of the generators' candidate lists: values
         are chosen on the generating set, extended along words and kept when
         they satisfy the table."""
-        gens = self.generating_set()
-        words = self.words()
+        gens, words = self.words()
         allowed = [set(c) for c in candidates]
         for choice in product(*(candidates[g] for g in gens)):
             value = dict(zip(gens, choice))

@@ -332,42 +332,45 @@ def _candidate_types(size: int):
     return cands
 
 
+def diagram_isomorphisms(pattern, pair, nodes):
+    """Every sequence f of distinct ``nodes`` with pair[f[p]][f[q]] == pattern[p][q]
+    for all positions p, q of the square matrix ``pattern``, in lexicographic
+    order: a backtracking search that places one node per position."""
+    nodes = sorted(nodes)
+    size = len(pattern)
+    assigned = []
+
+    def extend():
+        pos = len(assigned)
+        if pos == size:
+            yield tuple(assigned)
+            return
+        for cand in nodes:
+            if cand in assigned or pair[cand][cand] != pattern[pos][pos]:
+                continue
+            if all(
+                pair[a][cand] == pattern[p][pos] and pair[cand][a] == pattern[pos][p]
+                for p, a in enumerate(assigned)
+            ):
+                assigned.append(cand)
+                yield from extend()
+                assigned.pop()
+
+    return extend()
+
+
 def _match_component(nodes, pair):
     """Recognize one connected labeled component; return (CartanType, ordered nodes).
 
-    Tries every admissible type of the right size and searches for a node ->
-    Bourbaki-position bijection matching the pairing matrix exactly.  Among all
-    matches the lexicographically smallest node sequence is returned; a 2-node
-    double bond is therefore always reported as B2 with the long root first.
+    Takes the first admissible type of the right size whose Cartan matrix the
+    pairing matches, with the lexicographically least matching node sequence;
+    a 2-node double bond is therefore always reported as B2 with the long root
+    first.
     """
-    size = len(nodes)
-    for ct in _candidate_types(size):
-        target = cartan_matrix(ct)
-        best = None
-
-        def extend(assigned):
-            nonlocal best
-            pos = len(assigned)
-            if pos == size:
-                if best is None or assigned < best:
-                    best = list(assigned)
-                return
-            for cand in nodes:
-                if cand in assigned:
-                    continue
-                ok = True
-                for p, a in enumerate(assigned):
-                    if pair[a][cand] != target[p][pos] or pair[cand][a] != target[pos][p]:
-                        ok = False
-                        break
-                if ok:
-                    assigned.append(cand)
-                    extend(assigned)
-                    assigned.pop()
-
-        extend([])
-        if best is not None:
-            return ct, best
+    for ct in _candidate_types(len(nodes)):
+        first = next(diagram_isomorphisms(cartan_matrix(ct), pair, nodes), None)
+        if first is not None:
+            return ct, list(first)
     raise InvalidInput("subdiagram component is not of finite Cartan type")
 
 
@@ -399,7 +402,7 @@ def subdiagram_components(rs: RootSystem, nodes):
                     comp.add(other)
                     stack.append(other)
         remaining -= comp
-        comps.append(_match_component(sorted(comp), pair))
+        comps.append(_match_component(comp, pair))
     comps.sort(key=lambda c: c[1])
     return comps
 

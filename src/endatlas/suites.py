@@ -33,7 +33,6 @@ from .reduction import (
     reduction_preserves_equivalence,
     shapiro_descend,
     shapiro_induce,
-    equivalence_transfers_under_shapiro,
 )
 
 
@@ -248,8 +247,8 @@ def shapiro_suite(base_types=("A1", "A2")) -> SuiteResult:
         n_configs += 1
         pool = _base_data_for(rs, base_galois)
         tag = f"{t}/{base_spec} in {'|'.join(names)}"
-        for x in pool:
-            y = shapiro_induce(x, model)
+        induced = [shapiro_induce(x, model) for x in pool]
+        for x, y in zip(pool, induced):
             if is_elliptic(y) != is_elliptic(x):
                 failures.append(f"{tag}: ellipticity did not transfer")
             back = shapiro_descend(y, model)
@@ -261,7 +260,8 @@ def shapiro_suite(base_types=("A1", "A2")) -> SuiteResult:
         for i in range(len(pool)):
             for j in range(i, len(pool)):
                 n_pairs += 1
-                if not equivalence_transfers_under_shapiro(pool[i], pool[j], model):
+                base_verdict = equivalent(pool[i], pool[j]) is not None
+                if base_verdict != (equivalent(induced[i], induced[j]) is not None):
                     failures.append(f"{tag}: equivalence did not transfer (pair {i},{j})")
     return SuiteResult(
         name="shapiro",

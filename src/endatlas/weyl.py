@@ -13,7 +13,7 @@ from math import lcm
 
 from ._linalg import dot, integer_gauss_jordan, span_functionals, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
-from .rootsys import RootSystem
+from .rootsys import RootSystem, diagram_isomorphisms
 from .torus import TorusElement
 
 
@@ -377,38 +377,18 @@ def weyl_part_if_member(rs: RootSystem, lattice_map: WeylElement):
 
 
 def enumerate_affine_automorphisms(rs: RootSystem):
-    """All permutations of the affine nodes preserving the pairing matrix."""
+    """All permutations of the affine nodes preserving the pairing matrix, in
+    lexicographic order."""
     rs._require_simple()
     cached = getattr(rs, "_affine_auts", None)
     if cached is not None:
         return cached
     pair = rs.affine_pairing
-    n = len(pair)
-    results = []
-
-    def extend(assigned):
-        pos = len(assigned)
-        if pos == n:
-            results.append(DiagramAut(tuple(assigned)))
-            return
-        for cand in range(n):
-            if cand in assigned:
-                continue
-            ok = all(
-                pair[a][cand] == pair[i][pos] and pair[cand][a] == pair[pos][i]
-                for i, a in enumerate(assigned)
-            )
-            if ok:
-                assigned.append(cand)
-                extend(assigned)
-                assigned.pop()
-
-    extend([])
+    results = [DiagramAut(f) for f in diagram_isomorphisms(pair, pair, rs.affine_nodes)]
     for aut in results:
         for i in rs.affine_nodes:
             if rs.marks[aut(i)] != rs.marks[i]:
                 raise InternalConsistencyError("diagram automorphism broke the marks")
-    results = sorted(results, key=lambda a: a.perm)
     rs._affine_auts = results
     return results
 
@@ -505,15 +485,8 @@ def enumerate_weyl(rs: RootSystem, cap: int = 2_000_000):
 # -- torus action --------------------------------------------------------------
 
 
-def torus_action(w, s: TorusElement, rs: RootSystem | None = None) -> TorusElement:
-    """(w . s)(alpha) = s(w^{-1} alpha), computed exactly in the Delta-basis.
-
-    ``w`` may be a WeylElement or a DiagramAut (the latter needs ``rs``).
-    """
-    if isinstance(w, DiagramAut):
-        if rs is None:
-            raise InvalidInput("torus action by a diagram automorphism needs the root system")
-        w = w.lattice(rs)
+def torus_action(w: WeylElement, s: TorusElement) -> TorusElement:
+    """(w . s)(alpha) = s(w^{-1} alpha), computed exactly in the Delta-basis."""
     winv = w.inverse()
     torsion, free = zip(*map(s.value_at, winv.images))
     return TorusElement._reduced(torsion, free)

@@ -198,7 +198,7 @@ def layer_criterion_elliptic(datum):
     of simple type: for shape Delta_a, dim Q[Delta_a]^Gamma = 1 + dim Q[X_0]^Gamma
     on the affine nodes; for shape Delta, dim X*(T)^Gamma = dim Q[X_0]^Gamma."""
     from endatlas._linalg import fixed_space_dimension
-    from endatlas.endodata import _orbit_count, langlands_normalize
+    from endatlas.endodata import _orbits, langlands_normalize
 
     nd, ld = langlands_normalize(datum)
     rs = nd.rs
@@ -206,8 +206,35 @@ def layer_criterion_elliptic(datum):
     if ld.shape == "DeltaA":
         acts = [nd.node_action(a) for a in range(len(nd.galois))]
         x0_nodes = [rs.node_of_root(r) for r in x0]
-        return _orbit_count(acts, rs.affine_nodes) == 1 + _orbit_count(acts, x0_nodes)
+        return len(_orbits(acts, rs.affine_nodes)) == 1 + len(_orbits(acts, x0_nodes))
     for a in nd.family:
         assert {a(r) for r in x0} == set(x0), "the action does not permute the base layer"
     dim_fixed = fixed_space_dimension([a.images for a in nd.family], rs.rank)
-    return dim_fixed == _orbit_count(nd.family, x0)
+    return dim_fixed == len(_orbits(nd.family, x0))
+
+
+# -- generators of a finite group, the oracle of GaloisModel.words ----------------
+
+
+def generating_set(model):
+    """The generators chosen one at a time: each is the least element outside
+    the closure of the earlier ones under multiplication on either side."""
+    gens = []
+    closure = {0}
+    for a in range(len(model)):
+        if a in closure:
+            continue
+        gens.append(a)
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for x in closure | set(frontier):
+                for g in gens:
+                    for y in (model.table[x][g], model.table[g][x]):
+                        if y not in closure and y not in frontier and y not in nxt:
+                            nxt.append(y)
+            closure |= set(frontier)
+            frontier = nxt
+        if len(closure) == len(model):
+            break
+    return gens
