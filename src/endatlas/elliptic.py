@@ -287,7 +287,7 @@ def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_
     """All Borel-normalized cocycle families fixing s, each a list of composite
     actions: candidates w . phi(a) over ``weyl_list`` that fix s, moved to keep
     the standard Borel, and combined by ``GaloisModel.homomorphisms``."""
-    sub_pos, base = _standard_borel(rs, s)
+    rho, base = _standard_borel(rs, s)
     n = len(galois)
     cands = []
     for a in range(n):
@@ -297,7 +297,7 @@ def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_
             comp = w * phi
             if torus_action(comp, s) != s:
                 continue
-            comp = canonicalize_action(rs, sub_pos, base, comp)
+            comp = canonicalize_action(rs, rho, base, comp)
             ca[comp.images] = comp
         if not ca:
             return []

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._linalg import fixed_space_dimension
-from .errors import InternalConsistencyError, InvalidInput
+from .errors import InternalConsistencyError, InvalidInput, is_integer
 from .galois import Cocycle, GaloisModel, Place, restrict_model
-from .rootsys import RootSystem
+from .rootsys import RootSystem, root_sum
 from .torus import TorusElement
 from .weyl import (
     DiagramAut,
@@ -28,7 +28,6 @@ from .weyl import (
     enumerate_weyl,
     kac_coordinates,
     omega_by_node,
-    omega_conjugating,
     omega_group,
     positive_system,
     torus_action,
@@ -46,13 +45,14 @@ def centralizer_roots(rs: RootSystem, s: TorusElement):
 
 
 def _standard_borel(rs: RootSystem, s: TorusElement):
-    """The positive roots of the centralizer subsystem and their simple system."""
+    """The standard positive system of the centralizer subsystem, as its sum
+    rho (``root_sum``), and its simple system."""
     sub_pos = centralizer_roots(rs, s) & rs.positives
     base = [
         r for r in sub_pos
         if not any(tuple(a - b for a, b in zip(r, q)) in sub_pos for q in sub_pos if q != r)
     ]
-    return sub_pos, tuple(sorted(base))
+    return root_sum(sub_pos, rs.rank), tuple(sorted(base))
 
 
 def standard_bprime_base(rs: RootSystem, s: TorusElement):
@@ -60,12 +60,12 @@ def standard_bprime_base(rs: RootSystem, s: TorusElement):
     return _standard_borel(rs, s)[1]
 
 
-def canonicalize_action(rs: RootSystem, sub_pos, base, a: WeylElement) -> WeylElement:
+def canonicalize_action(rs: RootSystem, rho, base, a: WeylElement) -> WeylElement:
     """The unique subsystem-Weyl translate v . a of an action ``a`` preserving
-    the Borel with positive roots ``sub_pos`` and simple system ``base``."""
+    the Borel with positive roots summing to ``rho`` and simple system ``base``."""
     if not base:
         return a
-    return _transport_in_subsystem(rs, {a(r) for r in sub_pos}, base, sub_pos) * a
+    return _transport_in_subsystem(rs, a(rho), base, rho) * a
 
 
 # -- the datum -----------------------------------------------------------------
@@ -185,8 +185,8 @@ def make_datum(rs: RootSystem, galois: GaloisModel, s: TorusElement, cocycle) ->
 
 def make_datum_from_family(rs, galois, s, family, validate=False) -> EndoscopicDatum:
     """Rebuild a raw-convention datum from composite actions (assumed valid)."""
-    sub_pos, base = _standard_borel(rs, s)
-    out = [canonicalize_action(rs, sub_pos, base, a) for a in family]
+    rho, base = _standard_borel(rs, s)
+    out = [canonicalize_action(rs, rho, base, a) for a in family]
     return EndoscopicDatum(rs, galois, s, out, base, normalized=False, _validate=validate)
 
 
@@ -230,7 +230,7 @@ def _cocycle_value(rs, v) -> WeylElement:
         v = v.perm
     if not isinstance(v, (list, tuple)) or not v:
         raise InvalidInput(f"cannot interpret cocycle value {v!r}")
-    if all(isinstance(x, int) for x in v):
+    if all(is_integer(x) for x in v):
         if sorted(v) != list(range(rs.rank + 1)):
             raise InvalidInput(f"node permutation {list(v)} is not a permutation of 0..{rs.rank}")
         aut = DiagramAut(tuple(v))
@@ -239,7 +239,7 @@ def _cocycle_value(rs, v) -> WeylElement:
         return aut.lattice(rs)
     if len(v) != rs.rank or not all(
         isinstance(row, (list, tuple)) and len(row) == rs.rank
-        and all(isinstance(x, int) for x in row)
+        and all(is_integer(x) for x in row)
         for row in v
     ):
         raise InvalidInput(f"cocycle value {v!r} is not {rs.rank} rows of {rs.rank} integers")
@@ -308,8 +308,8 @@ def langlands_normalize(datum: EndoscopicDatum):
     if moved != b_a:
         # the descent runs in the Weyl group of the centralizer, so it fixes s2
         phi_a = centralizer_roots(rs, s2)
-        pos = positive_system(rs, phi_a, moved)
-        u = _transport_in_subsystem(rs, pos, b_a, positive_system(rs, phi_a, b_a)) * u
+        rho, target_rho = (root_sum(positive_system(rs, phi_a, b), rs.rank) for b in (moved, b_a))
+        u = _transport_in_subsystem(rs, rho, b_a, target_rho) * u
     layers = tuple((k, frozenset(x)) for k, x in sorted(by_level.items()))
     uinv = u.inverse()
     fam2 = [u * a * uinv for a in datum.family]
@@ -350,17 +350,6 @@ def _transporters(r1: EndoscopicDatum, r2: EndoscopicDatum):
             yield u2inv * om * u1
 
 
-def _reconcile(d1: EndoscopicDatum, d2: EndoscopicDatum):
-    """(w0, r1, r2): the raw forms with r1 transported by w0 onto the torus
-    element of r2, or None when no Weyl element carries one to the other.
-    w0 is the first of ``_transporters``; equal elements take the identity."""
-    r1, r2 = raw_form(d1), raw_form(d2)
-    w0 = next(_transporters(r1, r2), None)
-    if w0 is None:
-        return None
-    return w0, transport_datum(r1, w0), r2
-
-
 def witness_transports(d1: EndoscopicDatum, d2: EndoscopicDatum, w: WeylElement) -> bool:
     """Soundness of a witness: transporting d1 by w reproduces d2 exactly."""
     r1, r2 = raw_form(d1), raw_form(d2)
@@ -399,21 +388,7 @@ def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: in
     return None
 
 
-# -- Out, ellipticity, localization ------------------------------------------------
-
-
-def out_group(datum: EndoscopicDatum):
-    """Out of the datum: the Omega elements stabilizing the layers and the action."""
-    nd = langlands_normalize(datum)[0]
-    if nd.langlands.shape != "DeltaA":
-        raise InvalidInput(
-            "Out is defined by the layer criterion only when the layered set is "
-            "the completed diagram"
-        )
-    rs = nd.rs
-    layers = [frozenset(rs.node_of_root(r) for r in x) for k, x in nd.langlands.layers if k]
-    acts = [nd.node_action(a) for a in range(len(nd.galois))]
-    return list(omega_conjugating(rs, layers, layers, acts, acts))
+# -- ellipticity, localization ------------------------------------------------
 
 
 def _orbits(perms, items):
@@ -468,17 +443,3 @@ def localize(datum: EndoscopicDatum, place: Place) -> EndoscopicDatum:
         normalized=datum.normalized,
         langlands=datum.langlands,
     )
-
-
-def kernel_tower_ok(datum: EndoscopicDatum) -> bool:
-    """The kernel of the composite action acts trivially on the diagram, and on
-    the diagram kernel the cocycle alone determines the action (the semidirect
-    splitting of the completed diagram automorphisms)."""
-    n = len(datum.galois)
-    for a in range(n):
-        if datum.family[a].is_identity():
-            if not datum.galois.phi(a).is_identity():
-                return False
-            if not datum.w_value(a).is_identity():
-                return False
-    return True

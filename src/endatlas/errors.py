@@ -1,6 +1,13 @@
-"""Exception types shared across the package, and the default work cap."""
+"""Exception types shared across the package, the default work cap, and the
+integer test of input validation."""
 
 DEFAULT_WORK_CAP = 10**6  # default bound on states, group elements and table work
+
+
+def is_integer(x) -> bool:
+    """Whether x is an integer and not a bool: JSON true and false load as
+    bools, which Python counts as the ints 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class EndatlasError(Exception):

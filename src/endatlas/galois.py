@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
+from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput, is_integer
 from .rootsys import RootSystem
 from .weyl import DiagramAut, enumerate_delta_automorphisms
 
@@ -36,7 +36,7 @@ class GaloisModel:
             raise InvalidInput("element names must be nonempty and distinct")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise InvalidInput("multiplication table has wrong shape")
-        if any(not isinstance(x, int) or x < 0 or x >= n for row in self.table for x in row):
+        if any(not is_integer(x) or x < 0 or x >= n for row in self.table for x in row):
             raise InvalidInput("multiplication table entries out of range")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
             raise InvalidInput("element 0 must be the identity")
@@ -259,11 +259,15 @@ def _outer_generator(rs: RootSystem, n: int) -> DiagramAut:
 
 def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
     try:
-        names = list(data["elements"])
-        table = [list(r) for r in data["table"]]
+        names, table = data["elements"], data["table"]
         action_spec = dict(data.get("action", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidInput(f"malformed galois model: {exc}") from exc
+    # a string would iterate as its characters
+    if not isinstance(names, list) or not (
+        isinstance(table, list) and all(isinstance(r, list) for r in table)
+    ):
+        raise InvalidInput("galois model: elements must be a list, table a list of lists")
     n = len(names)
     if n**3 > DEFAULT_WORK_CAP:
         # the associativity check of the table takes n^3 steps
@@ -277,7 +281,7 @@ def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:
         if perm is None:
             action.append(DiagramAut.identity(rs.rank))
         else:
-            ints = isinstance(perm, (list, tuple)) and all(isinstance(x, int) for x in perm)
+            ints = isinstance(perm, (list, tuple)) and all(is_integer(x) for x in perm)
             if not ints or sorted(perm) != list(range(1, rs.rank + 1)):
                 raise InvalidInput(
                     f"action for {nm!r} must permute the simple nodes 1..{rs.rank}"

@@ -23,7 +23,7 @@ from .torus import TorusElement
 from .weyl import DiagramAut, WeylElement, _lex_positive, free_dominance, torus_action
 from .endodata import (
     EndoscopicDatum,
-    _reconcile,
+    _transporters,
     centralizer_roots,
     equivalent,
     equivalent_bruteforce,
@@ -242,11 +242,12 @@ def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) ->
     """Equivalence verdicts before (direct Weyl search) and after the reduction
     (``equivalent`` on the reduced data) must agree; False falsifies."""
     before = equivalent_bruteforce(d1, d2) is not None
-    reconciled = _reconcile(d1, d2)
-    if reconciled is None:
+    r1, r2 = raw_form(d1), raw_form(d2)
+    w0 = next(_transporters(r1, r2), None)
+    if w0 is None:
         # no Weyl transport between the torus elements: both verdicts negative
         return before is False
-    red1, red2, _ = finite_order_reduction(*reconciled[1:])
+    red1, red2, _ = finite_order_reduction(transport_datum(r1, w0), r2)
     after = equivalent(red1, red2) is not None
     return before == after
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from ._linalg import rank as q_rank
 from ._linalg import vec_neg, vec_sub
@@ -120,6 +120,13 @@ def _root_lengths(matrix):
     return tuple(d)
 
 
+def root_sum(roots, rank):
+    """rho_P, the sum of the roots of P (twice Bourbaki's half-sum).  For a
+    positive system P it is regular with P = {r : (rho_P, r) > 0}, so it
+    stands for P."""
+    return tuple(sum(r[i] for r in roots) for i in range(rank))
+
+
 class RootSystem:
     """Immutable root system; construct via build_root_system or product_root_system."""
 
@@ -133,7 +140,8 @@ class RootSystem:
         n = self.rank
         n_pos = sum(_positive_root_count(ct) for ct, _ in self.components)
         if n_pos**2 * n > DEFAULT_WORK_CAP:
-            # the chamber descents behind Omega and base transport grow as |Phi+|^2 . rank
+            # quadratic root-pair sweeps such as the base test of endodata._standard_borel
+            # cost |Phi+|^2 . rank
             raise CapExceeded(f"root system of rank {n} exceeds the work cap {DEFAULT_WORK_CAP}")
         m = [[0] * n for _ in range(n)]
         for ct, off in self.components:
@@ -143,11 +151,17 @@ class RootSystem:
                     m[off + i][off + j] = block[i][j]
         self.matrix = tuple(tuple(r) for r in m)
         self.lengths = _root_lengths(self.matrix)
+        # the W-invariant form (alpha_i, alpha_j) = M_ij.d_j, scaled to integers
+        den = lcm(*(d.denominator for d in self.lengths))
+        self.form = tuple(
+            tuple(int(c * d * den) for c, d in zip(row, self.lengths)) for row in self.matrix
+        )
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
         self.all_roots = self._generate_roots()
         self.positives = frozenset(r for r in self.all_roots if min(r) >= 0)
+        self.rho = root_sum(self.positives, n)
         if self.is_simple:
             self._init_affine()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InvalidInput
+from .errors import InvalidInput, is_integer
 from .galois import GaloisModel, build_galois_model, model_to_dict, read_json
 from .rootsys import build_root_system
 from .torus import TorusElement
@@ -24,7 +24,7 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if is_integer(text):
         return Fraction(text)
     text = str(text).strip()
     try:
@@ -43,12 +43,17 @@ def torus_to_dict(s: TorusElement) -> dict:
 
 def torus_from_dict(data: dict, rank: int) -> TorusElement:
     try:
-        torsion = [parse_fraction(t) for t in data["torsion"]]
-        free = data.get("free")
-        if free is not None:
-            free = [[parse_fraction(x) for x in f] for f in free]
-    except (KeyError, TypeError) as exc:
+        torsion, free = data["torsion"], data.get("free")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InvalidInput(f"malformed torus element: {exc}") from exc
+    # a string would iterate as its characters
+    if not isinstance(torsion, list) or not (
+        free is None or isinstance(free, list) and all(isinstance(f, list) for f in free)
+    ):
+        raise InvalidInput("torus element: torsion must be a list, free a list of lists")
+    torsion = [parse_fraction(t) for t in torsion]
+    if free is not None:
+        free = [[parse_fraction(x) for x in f] for f in free]
     if len(torsion) != rank:
         raise InvalidInput(f"torus element has {len(torsion)} coordinates, need {rank}")
     if free is not None and not any(any(f) for f in free):

@@ -3,6 +3,11 @@
 A lattice map is stored by the images of the simple roots: a tuple of root
 vectors, row i being the image of alpha_{i+1}.  Equality of maps is equality
 of these tuples, which gives a canonical, hashable normal form.
+
+A positive system P travels as one vector, rho_P = sum(P) (Bourbaki, Lie
+VI.1): every chamber descent reflects rho_P alone, in the integer invariant
+form ``rs.form``, and never maps a root set.  Omega has one construction,
+``alcove_omega``; ``omega_group`` reads the node permutations off it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from math import lcm
 
 from ._linalg import dot, integer_gauss_jordan, span_functionals, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
-from .rootsys import RootSystem, diagram_isomorphisms
+from .rootsys import RootSystem, diagram_isomorphisms, root_sum
 from .torus import TorusElement
 
 
@@ -174,29 +179,28 @@ def is_base(rs: RootSystem, vectors) -> bool:
     return positive_system(rs, rs.all_roots, vectors) is not None
 
 
-def _transport_in_subsystem(rs: RootSystem, pos, target_base, target_pos) -> WeylElement:
-    """The element v of a subsystem's Weyl group with v(pos) = target_pos, for
-    two positive systems of one subsystem; ``target_base`` is the base of
-    ``target_pos``.
+def _transport_in_subsystem(rs: RootSystem, rho, target_base, target_rho) -> WeylElement:
+    """The element v of a subsystem's Weyl group with v(P) = P', for two
+    positive systems P, P' of one subsystem passed as their sums rho and
+    ``target_rho`` (``rootsys.root_sum``); ``target_base`` is the base of P'.
 
-    Chamber descent: each step reflects away the first target root that is
-    negative for the current positive system, so it ends within |pos| steps.
+    Chamber descent on one vector: a root t lies in P iff (rho, t) > 0, so
+    each step reflects rho in the first target simple root t with
+    (rho, t) < 0, the form being ``rs.form``.  The descent ends within |P|
+    steps at a rho in the target chamber, which is ``target_rho`` exactly
+    when P was a positive system of the subsystem.
     """
-    pos = set(pos)
-    order = sorted(target_base)
+    walls = [(t, tuple(dot(row, t) for row in rs.form)) for t in sorted(target_base)]
     v = WeylElement.identity(rs.rank)
-    steps, limit = 0, len(pos) + 1
-    while pos != target_pos:
-        t = next((t for t in order if vec_neg(t) in pos), None)
+    for _ in range(len(rs.positives) + 1):
+        t = next((t for t, ft in walls if dot(rho, ft) < 0), None)
         if t is None:
-            raise InternalConsistencyError("descent stalled on a non-positive system")
+            if rho != target_rho:
+                raise InternalConsistencyError("descent stalled on a non-positive system")
+            return v
         s_t = _reflection(rs, t)
-        pos = {s_t(r) for r in pos}
-        v = s_t * v
-        steps += 1
-        if steps > limit:
-            raise InternalConsistencyError("descent failed to terminate")
-    return v
+        rho, v = s_t(rho), s_t * v
+    raise InternalConsistencyError("descent failed to terminate")
 
 
 def _lex_positive(vec) -> bool:
@@ -209,12 +213,12 @@ def free_dominance(rs: RootSystem, s: TorusElement) -> WeylElement:
     part on w.s: the chamber descent from the positive system cut out by the
     lex signs of the free parts (standard positivity breaking the ties) to
     the standard one.  The roots of zero free part are then a standard Levi."""
-    pos = set()
+    pos = []
     for r in rs.all_roots:
         f = s.value_at(r)[1]
         if _lex_positive(f) if any(f) else r in rs.positives:
-            pos.add(r)
-    return _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
+            pos.append(r)
+    return _transport_in_subsystem(rs, root_sum(pos, rs.rank), rs.simple_roots, rs.rho)
 
 
 def _parabolic_positives(rs: RootSystem, nodes):
@@ -224,9 +228,9 @@ def _parabolic_positives(rs: RootSystem, nodes):
 
 def _longest_element(rs: RootSystem, nodes) -> WeylElement:
     """w0 of the standard parabolic subgroup on ``nodes``."""
-    pos = _parabolic_positives(rs, nodes)
+    rho = root_sum(_parabolic_positives(rs, nodes), rs.rank)
     neg_base = [vec_neg(rs.simple_roots[i]) for i in nodes]
-    return _transport_in_subsystem(rs, pos, neg_base, {vec_neg(r) for r in pos})
+    return _transport_in_subsystem(rs, rho, neg_base, vec_neg(rho))
 
 
 def _alcove_walls(rs: RootSystem, J):
@@ -323,27 +327,33 @@ def find_base_transport(rs: RootSystem, source_base, target_base):
     """The unique w in W with w(source_base) = target_base as sets, else None."""
     source = [tuple(v) for v in source_base]
     target = [tuple(v) for v in target_base]
-    source_pos = positive_system(rs, rs.all_roots, source)
-    if len(target) == rs.rank and set(target) == set(rs.simple_roots):
-        target_pos = rs.positives
-    else:
-        target_pos = positive_system(rs, rs.all_roots, target)
-    if source_pos is None or target_pos is None:
+    pos = [positive_system(rs, rs.all_roots, base) for base in (source, target)]
+    if None in pos:
         raise InvalidInput("input is not a base of the root system")
-    w = _transport_in_subsystem(rs, source_pos, target, target_pos)
+    w = _transport_in_subsystem(rs, root_sum(pos[0], rs.rank), target, root_sum(pos[1], rs.rank))
     if {w(v) for v in source} != set(target):
         return None
     return w
 
 
 def _descent_of(rs: RootSystem, lattice_map: WeylElement):
-    """For a map permuting the roots, the w in W with w(map(Sigma^+)) = Sigma^+;
-    None when the map does not permute the roots."""
-    images = {r: lattice_map(r) for r in rs.all_roots}
-    if set(images.values()) != rs.all_roots:
+    """For a map f permuting the roots, the w in W with w(f(Sigma^+)) = Sigma^+;
+    None when f does not permute the roots.
+
+    f permutes the roots iff every f(alpha_i) is a root and the Cartan
+    integers hold, 2(f alpha_i, f alpha_j) = M_ij.(f alpha_j, f alpha_j):
+    then f.s_i.f^-1 = s_{f alpha_i} lies in W, so f(Phi) = f(W.Delta) lies in
+    Phi.  No root lengths are compared, so components may differ in scale.
+    """
+    images = lattice_map.images
+    if not all(img in rs.all_roots for img in images):
         return None
-    pos = {images[r] for r in rs.positives}
-    return _transport_in_subsystem(rs, pos, rs.simple_roots, rs.positives)
+    paired = [tuple(dot(row, img) for row in rs.form) for img in images]
+    gram = [[dot(x, fy) for fy in paired] for x in images]
+    n = rs.rank
+    if any(2 * gram[i][j] != rs.matrix[i][j] * gram[j][j] for i in range(n) for j in range(n)):
+        return None
+    return _transport_in_subsystem(rs, lattice_map(rs.rho), rs.simple_roots, rs.rho)
 
 
 def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
@@ -399,21 +409,21 @@ def enumerate_delta_automorphisms(rs: RootSystem):
 
 
 def omega_group(rs: RootSystem):
-    """The subgroup of W preserving the affine node set, via the mark-1 bijection.
-
-    Each candidate diagram automorphism is certified to lie in W by the base
-    transport factorization; brute force over W is never used.
+    """Omega, the subgroup of W preserving the affine node set, read off
+    ``alcove_omega`` at the identity: each element with the permutation it
+    makes of the affine nodes, sorted by that permutation.  Checked: the
+    mark-1 bijection, and Omega abelian and normal in Aut(completed diagram).
     """
     rs._require_simple()
     cached = getattr(rs, "_omega_cache", None)
     if cached is not None:
         return cached
     out = []
-    for aut in enumerate_affine_automorphisms(rs):
-        lat = aut.lattice(rs)
-        _, residual = weyl_membership(rs, lat)
-        if residual.is_identity():
-            out.append(OmegaElement(aut=aut, weyl=lat))
+    for w in alcove_omega(rs, TorusElement.identity(rs.rank)):
+        perm = tuple(rs.node_of_root(w(rs.node_root(i))) for i in rs.affine_nodes)
+        if None in perm:
+            raise InternalConsistencyError("an Omega element does not permute the affine nodes")
+        out.append(OmegaElement(aut=DiagramAut(perm), weyl=w))
     mark_one = [i for i in rs.affine_nodes if rs.marks[i] == 1]
     images = sorted(om.aut(0) for om in out)
     if images != sorted(mark_one):
@@ -421,13 +431,12 @@ def omega_group(rs: RootSystem):
             "Omega is not in bijection with the mark-1 nodes"
         )
     # abelian, and stable under conjugation inside Aut(completed diagram)
-    auts = enumerate_affine_automorphisms(rs)
     perms = {om.aut.perm for om in out}
     for a in out:
         for b in out:
             if a.aut.compose(b.aut).perm != b.aut.compose(a.aut).perm:
                 raise InternalConsistencyError("Omega is not abelian")
-    for t in auts:
+    for t in enumerate_affine_automorphisms(rs):
         tinv = t.inverse()
         for om in out:
             if t.compose(om.aut).compose(tinv).perm not in perms:

@@ -238,3 +238,82 @@ def generating_set(model):
         if len(closure) == len(model):
             break
     return gens
+
+
+# -- Out and the kernel tower, read off the normalized datum ----------------------
+
+
+def out_group(datum):
+    """Out of the datum: the Omega elements stabilizing the layers and the action."""
+    from endatlas.endodata import langlands_normalize
+    from endatlas.errors import InvalidInput
+    from endatlas.weyl import omega_conjugating
+
+    nd = langlands_normalize(datum)[0]
+    if nd.langlands.shape != "DeltaA":
+        raise InvalidInput(
+            "Out is defined by the layer criterion only when the layered set is "
+            "the completed diagram"
+        )
+    rs = nd.rs
+    layers = [frozenset(rs.node_of_root(r) for r in x) for k, x in nd.langlands.layers if k]
+    acts = [nd.node_action(a) for a in range(len(nd.galois))]
+    return list(omega_conjugating(rs, layers, layers, acts, acts))
+
+
+def kernel_tower_ok(datum):
+    """The kernel of the composite action acts trivially on the diagram, and on
+    the diagram kernel the cocycle alone determines the action (the semidirect
+    splitting of the completed diagram automorphisms)."""
+    for a in range(len(datum.galois)):
+        if datum.family[a].is_identity():
+            if not datum.galois.phi(a).is_identity():
+                return False
+            if not datum.w_value(a).is_identity():
+                return False
+    return True
+
+
+# -- chamber descent on root sets, the oracle of the descent on rho ---------------
+
+
+def set_descent(rs, pos, target_base, target_pos):
+    """The element v of a subsystem's Weyl group with v(pos) = target_pos, by
+    mapping the whole positive set through each reflection in the first
+    target simple root that is negative for it."""
+    from endatlas.weyl import WeylElement, _reflection
+
+    pos = set(pos)
+    order = sorted(target_base)
+    v = WeylElement.identity(rs.rank)
+    for _ in range(len(pos) + 2):
+        if pos == set(target_pos):
+            return v
+        t = next(t for t in order if tuple(-x for x in t) in pos)
+        s_t = _reflection(rs, t)
+        pos = {s_t(r) for r in pos}
+        v = s_t * v
+    raise AssertionError("descent failed to terminate")
+
+
+def root_sweep_descent(rs, lattice_map):
+    """For a map permuting the roots, the w in W with w(map(Sigma^+)) = Sigma^+,
+    found by mapping every root; None when the map does not permute them."""
+    images = {r: lattice_map(r) for r in rs.all_roots}
+    if set(images.values()) != rs.all_roots:
+        return None
+    return set_descent(rs, {images[r] for r in rs.positives}, rs.simple_roots, rs.positives)
+
+
+def omega_by_membership(rs):
+    """Omega as (perm, images) pairs in perm order: the automorphisms of the
+    completed diagram whose lattice maps lie in W by the root-sweep descent."""
+    from endatlas.weyl import enumerate_affine_automorphisms
+
+    out = []
+    for aut in enumerate_affine_automorphisms(rs):
+        lat = aut.lattice(rs)
+        w = root_sweep_descent(rs, lat)
+        if (w * lat).is_identity():
+            out.append((aut.perm, lat.images))
+    return sorted(out)

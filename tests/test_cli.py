@@ -175,6 +175,27 @@ def test_equiv_malformed_datum_is_an_input_error(tmp_path, capsys, path, value):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        {"type": "A2", "galois": "trivial", "s": {"torsion": "12"}},
+        {"type": "A1", "galois": "c2:inner", "s": {"torsion": ["1/2"]},
+         "cocycle": {"g": [[True]]}},
+        {"type": "A1", "galois": "c2:inner", "s": {"torsion": ["1/2"]},
+         "cocycle": {"g": [True, False]}},
+        {"type": "A1", "galois": {"elements": ["e", "g"], "table": [[0, True], [True, 0]]},
+         "s": {"torsion": ["1/2"]}},
+    ],
+    ids=["torsion-string", "cocycle-bool-rows", "cocycle-bool-permutation", "table-bools"],
+)
+def test_equiv_json_booleans_and_strings_are_input_errors(tmp_path, capsys, data):
+    """JSON true/false are not integers and a string is not a list, though
+    Python counts bools as ints and iterates strings."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["equiv", str(bad), str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
     "content",
     ['{"elements": ["e", "g"], "table": [[0, "x"], [1, 0]]}', '{"elements": ["e", "g"], "tab', None],
     ids=["table-string-entry", "truncated-json", "directory"],

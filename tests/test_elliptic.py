@@ -9,7 +9,7 @@ from endatlas.errors import CapExceeded
 from endatlas.galois import build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
-from endatlas.endodata import equivalent, is_elliptic, langlands_normalize, out_group
+from endatlas.endodata import equivalent, is_elliptic, langlands_normalize
 from endatlas.weyl import omega_conjugating
 from endatlas.elliptic import (
     DEFAULT_WORK_CAP,
@@ -24,7 +24,7 @@ from endatlas.elliptic import (
     verify_sigma_structure,
 )
 
-from conftest import bfs_canonical_s_reps
+from conftest import bfs_canonical_s_reps, out_group
 
 F = Fraction
 

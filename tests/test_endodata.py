@@ -21,12 +21,10 @@ from endatlas.endodata import (
     equivalent,
     equivalent_bruteforce,
     is_elliptic,
-    kernel_tower_ok,
     langlands_normalize,
     localize,
     make_datum,
     make_datum_from_family,
-    out_group,
     principal_datum,
     raw_form,
     standard_bprime_base,
@@ -37,9 +35,11 @@ from endatlas.endodata import (
 from conftest import (
     a1_swap_datum,
     a2_rotation_data,
+    kernel_tower_ok,
     layer_criterion_elliptic,
     layered_construction,
     omega_sending_zero_to,
+    out_group,
 )
 
 F = Fraction

@@ -18,7 +18,6 @@ from endatlas.endodata import (
     equivalent_bruteforce,
     is_elliptic,
     make_datum,
-    out_group,
     principal_datum,
     standard_bprime_base,
     transport_datum,
@@ -33,7 +32,7 @@ from endatlas.reduction import (
 )
 from endatlas.suites import _z_table, shapiro_configurations, shapiro_suite, _base_data_for
 
-from conftest import omega_sending_zero_to
+from conftest import omega_sending_zero_to, out_group
 
 F = Fraction
 

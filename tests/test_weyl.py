@@ -4,21 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
-from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system, product_root_system, root_sum
 from endatlas.torus import TorusElement
 from endatlas.weyl import (
     DiagramAut,
     WeylElement,
+    _descent_of,
+    _transport_in_subsystem,
     alcove_form,
     alcove_omega,
     enumerate_affine_automorphisms,
     enumerate_delta_automorphisms,
     enumerate_weyl,
     find_base_transport,
+    free_dominance,
     is_base,
     omega_by_node,
     positive_system,
@@ -29,7 +32,14 @@ from endatlas.weyl import (
     weyl_part_if_member,
 )
 
-from conftest import bfs_orbit_search, fraction_solve, omega_sending_zero_to
+from conftest import (
+    bfs_orbit_search,
+    fraction_solve,
+    omega_by_membership,
+    omega_sending_zero_to,
+    root_sweep_descent,
+    set_descent,
+)
 
 
 def simple_reflection(rs, j):
@@ -405,27 +415,147 @@ def test_alcove_form_lands_in_the_alcove(case):
 
 @settings(max_examples=150, deadline=None)
 @given(torus_pairs())
-def test_reconcile_transporter_agrees_with_the_bfs_oracle(case):
-    """The alcove transporter exists exactly when the orbit walk finds one,
+def test_transporters_agree_with_the_bfs_oracle(case):
+    """An alcove transporter exists exactly when the orbit walk finds one,
     and every returned one carries s1 to s2."""
-    from endatlas.endodata import _reconcile, make_datum
+    from endatlas.endodata import _transporters, make_datum
     from endatlas.galois import build_galois_model
 
     rs, s1, s2 = case
     trivial = build_galois_model("trivial", rs)
-    got = _reconcile(make_datum(rs, trivial, s1, {}), make_datum(rs, trivial, s2, {}))
-    assert (got is None) == (bfs_orbit_search(rs, s1, s2) is None)
-    if got is not None:
-        w0, r1, r2 = got
-        assert torus_action(w0, s1) == s2 and r1.s == r2.s == s2
+    got = list(_transporters(make_datum(rs, trivial, s1, {}), make_datum(rs, trivial, s2, {})))
+    assert (not got) == (bfs_orbit_search(rs, s1, s2) is None)
+    for w in got:
+        assert torus_action(w, s1) == s2
 
 
 @pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
 def test_omega_of_the_whole_diagram_is_omega(ct):
     """For J = Delta the products w0(Delta minus j).w0(Delta) over the mark-1
-    nodes j, with the identity, are the Weyl elements of omega_group."""
+    nodes j, with the identity, are Omega: ``omega_group``, read off them,
+    lists the diagram automorphisms whose lattice maps lie in W, with the
+    same maps and in the same order."""
     rs = build_root_system(ct)
     omega = alcove_omega(rs, TorusElement.identity(rs.rank))
     assert omega[0].is_identity()
-    assert len(omega) == len(set(omega)) == len(omega_group(rs))
-    assert set(omega) == {om.weyl for om in omega_group(rs)}
+    assert len(omega) == len(set(omega))
+    assert [(om.aut.perm, om.weyl.images) for om in omega_group(rs)] == omega_by_membership(rs)
+
+
+# -- the descent on rho and the membership test against their root-set oracles ----
+
+
+def random_word(draw, rs):
+    """A Weyl element as a random word in the simple reflections."""
+    w = WeylElement.identity(rs.rank)
+    for j in draw(st.lists(st.integers(0, rs.rank - 1), max_size=6 if rs.rank > 6 else 12)):
+        w = simple_reflections(rs)[j] * w
+    return w
+
+
+@st.composite
+def centralizer_descents(draw):
+    """A type through rank 8, a grid torsion point s and a Weyl word u, or
+    None for the u of the alcove form of s."""
+    ct = draw(st.sampled_from(ALL_TYPES_THROUGH_RANK_8))
+    den = draw(st.integers(1, 6))
+    torsion = tuple(Fraction(draw(st.integers(0, den - 1)), den) for _ in range(ct.rank))
+    u = random_word(draw, build_root_system(ct)) if draw(st.booleans()) else None
+    return str(ct), torsion, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(centralizer_descents())
+@example(("E6", tuple(Fraction(x, 2) for x in (1, 1, 1, 0, 1, 0)), None))
+# a long and a short root in the centralizer base, so rho must be paired in the form
+@example(("C3", tuple(Fraction(x, 2) for x in (1, 0, 1)),
+          WeylElement(((1, 1, 1), (0, -1, -1), (0, 2, 1)))))
+def test_descent_on_rho_matches_the_set_descent_on_centralizers(case):
+    """u carries the standard positive system of the centralizer roots of s
+    to a positive system of those of u.s; the descent back to the standard
+    one there is the same Weyl element on rho as on the root sets."""
+    from endatlas.endodata import _standard_borel, centralizer_roots
+
+    name, torsion, u = case
+    rs = build_root_system(name)
+    s = TorusElement(torsion)
+    if u is None:
+        u = alcove_form(rs, s)[1]
+    source = {u(r) for r in centralizer_roots(rs, s) & rs.positives}
+    s2 = torus_action(u, s)
+    rho, base = _standard_borel(rs, s2)
+    want = set_descent(rs, source, base, centralizer_roots(rs, s2) & rs.positives)
+    assert _transport_in_subsystem(rs, root_sum(source, rs.rank), base, rho) == want
+
+
+@st.composite
+def free_torus_elements(draw):
+    """A type through rank 8 and a torus element with one or two free generators."""
+    rs = build_root_system(draw(st.sampled_from(ALL_TYPES_THROUGH_RANK_8)))
+    n_gens = draw(st.integers(1, 2))
+    torsion = [Fraction(draw(st.integers(0, 3)), 4) for _ in range(rs.rank)]
+    free = [tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(n_gens))
+            for _ in range(rs.rank)]
+    return rs, TorusElement(torsion, free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_torus_elements())
+def test_free_dominance_matches_the_set_descent_on_lex_systems(case):
+    rs, s = case
+    lex = {
+        r for r in rs.all_roots
+        if next((x > 0 for x in s.value_at(r)[1] if x), r in rs.positives)
+    }
+    assert free_dominance(rs, s) == set_descent(rs, lex, rs.simple_roots, rs.positives)
+
+
+@st.composite
+def twisted_weyl_elements(draw):
+    """w.d for a Weyl word w and a diagram automorphism d of a simple type
+    through rank 8, at times with two image rows added: mostly off the roots."""
+    rs = build_root_system(draw(st.sampled_from(ALL_TYPES_THROUGH_RANK_8)))
+    d = draw(st.sampled_from(enumerate_delta_automorphisms(rs)))
+    rows = [list(row) for row in (random_word(draw, rs) * d.lattice(rs)).images]
+    if rs.rank > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rs.rank)))[:2]
+        rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    return rs, WeylElement(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_weyl_elements())
+def test_membership_matches_the_root_sweep(case):
+    rs, f = case
+    assert _descent_of(rs, f) == root_sweep_descent(rs, f)
+
+
+MINUS_ONE_TYPES = ["A1", "A2", "B3", "D4", "D5", "E6", "E7", "E8", "G2"]
+
+
+@pytest.mark.parametrize(
+    "types,images,permutes",
+    [((ct,), None, True) for ct in MINUS_ONE_TYPES]
+    + [
+        # sends Delta into Phi but breaks the Cartan integers
+        (("A2",), [(1, 0), (1, 1)], False),
+        # swaps the factors, which _root_lengths scales differently
+        (("B2", "C2"), [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)], True),
+    ],
+    ids=[f"minus-one-{ct}" for ct in MINUS_ONE_TYPES] + ["a2-off-the-cartan-integers", "b2xc2-swap"],
+)
+def test_membership_edge_cases_match_the_root_sweep(types, images, permutes):
+    rs = product_root_system(types)
+    f = WeylElement(images or [tuple(-x for x in a) for a in rs.simple_roots])
+    got = _descent_of(rs, f)
+    assert got == root_sweep_descent(rs, f)
+    assert (got is not None) == permutes
+
+
+def test_descent_refuses_a_set_that_is_no_positive_system(a2):
+    """{alpha_1} sums to a vector that reaches the dominant chamber at
+    alpha_1 + alpha_2, not at the sum of the positive roots."""
+    from endatlas.errors import InternalConsistencyError
+
+    with pytest.raises(InternalConsistencyError, match="non-positive system"):
+        _transport_in_subsystem(a2, (1, 0), a2.simple_roots, a2.rho)
