@@ -21,6 +21,7 @@ from .torus import TorusElement
 from .weyl import (
     WeylElement,
     alcove_form,
+    carries,
     enumerate_weyl,
     kac_coordinates,
     omega_conjugating,
@@ -285,19 +286,20 @@ def _canonical_s_reps(rs: RootSystem, order_bound: int):
 
 def _families_fixing(rs: RootSystem, galois: GaloisModel, s: TorusElement, weyl_list):
     """All Borel-normalized cocycle families fixing s, each a list of composite
-    actions: candidates w . phi(a) over ``weyl_list`` that fix s, moved to keep
-    the standard Borel, and combined by ``GaloisModel.homomorphisms``."""
+    actions: candidates w . phi(a) over ``weyl_list`` that fix s (w carries
+    phi(a).s to s), moved to keep the standard Borel, and combined by
+    ``GaloisModel.homomorphisms``."""
     rho, base = _standard_borel(rs, s)
     n = len(galois)
     cands = []
     for a in range(n):
         phi = galois.phi_lattice(a)
+        phi_s = torus_action(phi, s)
         ca = {}
         for w in weyl_list:
-            comp = w * phi
-            if torus_action(comp, s) != s:
+            if not carries(w, phi_s, s):
                 continue
-            comp = canonicalize_action(rs, rho, base, comp)
+            comp = canonicalize_action(rs, rho, base, w * phi)
             ca[comp.images] = comp
         if not ca:
             return []

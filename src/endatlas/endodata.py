@@ -11,7 +11,6 @@ materialized; every criterion lives at the level of W and the torus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from ._linalg import fixed_space_dimension
 from .errors import InternalConsistencyError, InvalidInput, is_integer
@@ -24,11 +23,13 @@ from .weyl import (
     _transport_in_subsystem,
     alcove_form,
     alcove_omega,
+    carries,
     enumerate_affine_automorphisms,
     enumerate_weyl,
     kac_coordinates,
     omega_by_node,
     omega_group,
+    permutes_roots,
     positive_system,
     torus_action,
     weyl_part_if_member,
@@ -40,8 +41,7 @@ from .weyl import (
 
 def centralizer_roots(rs: RootSystem, s: TorusElement):
     """Roots alpha with alpha(s) = 1, the root set of the dual centralizer."""
-    zero = (Fraction(0), (Fraction(0),) * s.n_generators)
-    return frozenset(r for r in rs.all_roots if s.value_at(r) == zero)
+    return frozenset(r for r in rs.all_roots if s.trivial_at(r))
 
 
 def _standard_borel(rs: RootSystem, s: TorusElement):
@@ -113,7 +113,7 @@ class EndoscopicDatum:
                 "cocycle identity fails: the composite actions are not a homomorphism"
             )
         for a in range(n):
-            if torus_action(self.family[a], self.s) != self.s:
+            if not carries(self.family[a], self.s, self.s):
                 raise InvalidInput("the composite action does not fix s")
             w_part = self.family[a] * self.galois.phi_lattice(a).inverse()
             if weyl_part_if_member(self.rs, w_part) is None:
@@ -177,7 +177,7 @@ def make_datum(rs: RootSystem, galois: GaloisModel, s: TorusElement, cocycle) ->
         composite = values[a] * galois.phi_lattice(a)
         if torus_action(composite, s) != s:
             raise InvalidInput("cocycle value does not fix s")
-        if {composite(r) for r in rs.all_roots} != rs.all_roots:
+        if not permutes_roots(rs, composite):
             raise InvalidInput("cocycle value does not permute the roots")
         family.append(composite)
     return make_datum_from_family(rs, galois, s, family, validate=True)
@@ -346,7 +346,7 @@ def _transporters(r1: EndoscopicDatum, r2: EndoscopicDatum):
     a2, u2 = (a1, u1) if r2.s == r1.s else alcove_form(rs, r2.s)
     u2inv = u2.inverse()
     for om in alcove_omega(rs, a1):
-        if torus_action(om, a1) == a2:
+        if carries(om, a1, a2):
             yield u2inv * om * u1
 
 
@@ -381,7 +381,7 @@ def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: in
         raise InvalidInput("data live over different Galois models")
     r1, r2 = raw_form(d1), raw_form(d2)
     for w in enumerate_weyl(d1.rs, cap=weyl_cap):
-        if torus_action(w, r1.s) != r2.s:
+        if not carries(w, r1.s, r2.s):
             continue
         if transport_datum(r1, w) == r2:
             return w

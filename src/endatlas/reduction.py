@@ -20,7 +20,7 @@ from .errors import InternalConsistencyError, InvalidInput
 from .galois import GaloisModel
 from .rootsys import RootSystem, product_root_system
 from .torus import TorusElement
-from .weyl import DiagramAut, WeylElement, _lex_positive, free_dominance, torus_action
+from .weyl import DiagramAut, WeylElement, _lex_positive, carries, free_dominance, torus_action
 from .endodata import (
     EndoscopicDatum,
     _transporters,
@@ -212,18 +212,20 @@ def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
         return d1, d2, degenerate_plan(r1.s)
     rs = d1.rs
     w_std = free_dominance(rs, r1.s)
-    r1, r2 = transport_datum(r1, w_std), transport_datum(r2, w_std)
-    plan = replace(build_reduction_plan(rs, r1.s), standardizer=w_std)
+    s_std = torus_action(w_std, r1.s)
+    plan = replace(build_reduction_plan(rs, s_std), standardizer=w_std)
     t = plan.t
+    winv = w_std.inverse()
     out = []
     for r in (r1, r2):
-        for a in range(len(r.galois)):
-            if torus_action(r.family[a], t) != t:
-                raise InternalConsistencyError(
-                    "a cocycle value fixes s but not t; falsifies the reduction"
-                )
-        out.append(make_datum_from_family(rs, r.galois, t, r.family, validate=True))
-    if centralizer_roots(rs, r1.s) != centralizer_roots(rs, t):
+        # the family conjugated by w_std fixes s_std, and so must fix t
+        family = [w_std * a * winv for a in r.family]
+        if not all(carries(a, t, t) for a in family):
+            raise InternalConsistencyError(
+                "a cocycle value fixes s but not t; falsifies the reduction"
+            )
+        out.append(make_datum_from_family(rs, r.galois, t, family, validate=True))
+    if centralizer_roots(rs, s_std) != centralizer_roots(rs, t):
         raise InternalConsistencyError(
             "the centralizer subsystems of s and t differ after standardization"
         )
@@ -233,7 +235,7 @@ def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
 def fixers_agree(rs: RootSystem, s: TorusElement, t: TorusElement, maps) -> bool:
     """Whether each map in ``maps`` fixes s exactly when it fixes t."""
     for w in maps:
-        if (torus_action(w, s) == s) != (torus_action(w, t) == t):
+        if carries(w, s, s) != carries(w, t, t):
             return False
     return True
 

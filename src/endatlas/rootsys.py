@@ -16,7 +16,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from ._linalg import rank as q_rank
-from ._linalg import vec_neg, vec_sub
+from ._linalg import dot, vec_neg, vec_sub
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InvalidInput
 
 _ADMISSIBLE_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2}
@@ -168,25 +168,13 @@ class RootSystem:
     # -- generation ---------------------------------------------------------
 
     def pairing(self, beta, gamma) -> int:
-        """<beta, gamma-coroot> for arbitrary roots, exact integer."""
-        sym = Fraction(0)
-        for i, bi in enumerate(beta):
-            if bi == 0:
-                continue
-            for j, gj in enumerate(gamma):
-                if gj:
-                    sym += bi * gj * self.matrix[i][j] * self.lengths[j]
-        d_gamma = Fraction(0)
-        for i, gi in enumerate(gamma):
-            if gi == 0:
-                continue
-            for j, gj in enumerate(gamma):
-                if gj:
-                    d_gamma += gi * gj * self.matrix[i][j] * self.lengths[j]
-        val = 2 * sym / d_gamma
-        if val.denominator != 1:
+        """<beta, gamma-coroot> = 2(beta, gamma)/(gamma, gamma) for arbitrary
+        roots, exact integer, on the integer form ``form``."""
+        f_gamma = [dot(row, gamma) for row in self.form]
+        val, rem = divmod(2 * dot(beta, f_gamma), dot(gamma, f_gamma))
+        if rem:
             raise InvalidInput("pairing of non-roots requested")
-        return int(val)
+        return val
 
     def simple_pairing(self, beta, j) -> int:
         """<beta, alpha_j-coroot> via the Cartan matrix column."""

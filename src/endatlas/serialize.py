@@ -24,6 +24,8 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
+    if isinstance(text, float):
+        raise InvalidInput(f"float {text!r} is not exact; write fractions as strings")
     if is_integer(text):
         return Fraction(text)
     text = str(text).strip()

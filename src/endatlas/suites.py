@@ -15,7 +15,7 @@ from .galois import GaloisModel, build_galois_model, places
 from .rootsys import RootSystem, build_root_system
 from .torus import TorusElement
 from .weyl import enumerate_delta_automorphisms, enumerate_weyl
-from .weyl import torus_action, weyl_membership
+from .weyl import carries, torus_action, weyl_membership
 from .endodata import EndoscopicDatum, equivalent, is_elliptic, standard_bprime_base
 from .elliptic import (
     _families_fixing,
@@ -175,7 +175,7 @@ def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TY
                 failures.append(f"{tag}: fixer sets of s and t differ")
             classes = [frozenset(plan.classes[k]) for k in range(len(plan.classes))]
             for u in all_maps:
-                if torus_action(u, s_std) == s_std or torus_action(u, plan.t) == plan.t:
+                if carries(u, s_std, s_std) or carries(u, plan.t, plan.t):
                     _, dpart = weyl_membership(rs, u)
                     for cl in classes:
                         if frozenset(dpart(i) for i in cl) != cl:

@@ -9,8 +9,11 @@ Evaluation runs on integers: each element builds, on first use, a view with
 one common denominator D of its torsion values and one common denominator E
 of its free exponents, and the numerators over them.  ``value_at`` is then
 integer dot products, the torsion one reduced mod D, and only its result is
-made into Fractions.  The Fraction fields ``torsion`` and ``free`` stay the
-public representation, so ``key()`` and serialization do not change.
+made into Fractions; ``trivial_at`` decides alpha(s) = 1 on the numerators
+alone.  Comparing w.s with another element goes through ``weyl.carries``,
+which cross-multiplies the numerators of both views and never inverts w.
+The Fraction fields ``torsion`` and ``free`` stay the public representation,
+so ``key()`` and serialization do not change.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ class TorusElement:
         if not fnum:
             return t, ()
         return t, tuple(Fraction(sum(map(mul, root, col)), fden) for col in fnum)
+
+    def trivial_at(self, root) -> bool:
+        """Whether alpha(s) = 1 for a root in the Delta-basis, on integers."""
+        den, tnum, _, fnum = self._int or self._integer_view()
+        return not sum(map(mul, root, tnum)) % den and not any(sum(map(mul, root, c)) for c in fnum)
 
     def is_finite_order(self) -> bool:
         return all(not any(f) for f in self.free)

@@ -8,6 +8,10 @@ A positive system P travels as one vector, rho_P = sum(P) (Bourbaki, Lie
 VI.1): every chamber descent reflects rho_P alone, in the integer invariant
 form ``rs.form``, and never maps a root set.  Omega has one construction,
 ``alcove_omega``; ``omega_group`` reads the node permutations off it.
+
+``torus_action`` computes w.s, inverting w once.  Every test of w.s = t goes
+through ``carries`` instead, which reads the images of w directly and
+compares integer numerators, so no comparison ever inverts a Weyl element.
 """
 
 from __future__ import annotations
@@ -191,15 +195,20 @@ def _transport_in_subsystem(rs: RootSystem, rho, target_base, target_rho) -> Wey
     when P was a positive system of the subsystem.
     """
     walls = [(t, tuple(dot(row, t) for row in rs.form)) for t in sorted(target_base)]
-    v = WeylElement.identity(rs.rank)
+    # rho, then the rows of v, reflected in place
+    vecs = [list(rho)] + [list(row) for row in WeylElement.identity(rs.rank).images]
     for _ in range(len(rs.positives) + 1):
-        t = next((t for t, ft in walls if dot(rho, ft) < 0), None)
+        t, ft = next(((t, ft) for t, ft in walls if dot(vecs[0], ft) < 0), (None, None))
         if t is None:
-            if rho != target_rho:
+            if tuple(vecs[0]) != target_rho:
                 raise InternalConsistencyError("descent stalled on a non-positive system")
-            return v
-        s_t = _reflection(rs, t)
-        rho, v = s_t(rho), s_t * v
+            return WeylElement(vecs[1:])
+        # s_t(r) = r - <r, t^vee> t, where <r, t^vee> = 2(r, t)/(t, t)
+        tt = dot(t, ft)
+        for r in vecs:
+            c = 2 * dot(r, ft) // tt
+            if c:
+                r[:] = [x - c * y for x, y in zip(r, t)]
     raise InternalConsistencyError("descent failed to terminate")
 
 
@@ -336,9 +345,8 @@ def find_base_transport(rs: RootSystem, source_base, target_base):
     return w
 
 
-def _descent_of(rs: RootSystem, lattice_map: WeylElement):
-    """For a map f permuting the roots, the w in W with w(f(Sigma^+)) = Sigma^+;
-    None when f does not permute the roots.
+def permutes_roots(rs: RootSystem, lattice_map: WeylElement) -> bool:
+    """Whether a lattice map f permutes the roots, read off the simple roots.
 
     f permutes the roots iff every f(alpha_i) is a root and the Cartan
     integers hold, 2(f alpha_i, f alpha_j) = M_ij.(f alpha_j, f alpha_j):
@@ -347,11 +355,17 @@ def _descent_of(rs: RootSystem, lattice_map: WeylElement):
     """
     images = lattice_map.images
     if not all(img in rs.all_roots for img in images):
-        return None
+        return False
     paired = [tuple(dot(row, img) for row in rs.form) for img in images]
     gram = [[dot(x, fy) for fy in paired] for x in images]
     n = rs.rank
-    if any(2 * gram[i][j] != rs.matrix[i][j] * gram[j][j] for i in range(n) for j in range(n)):
+    return all(2 * gram[i][j] == rs.matrix[i][j] * gram[j][j] for i in range(n) for j in range(n))
+
+
+def _descent_of(rs: RootSystem, lattice_map: WeylElement):
+    """For a map f permuting the roots, the w in W with w(f(Sigma^+)) = Sigma^+;
+    None when f does not permute the roots (``permutes_roots``)."""
+    if not permutes_roots(rs, lattice_map):
         return None
     return _transport_in_subsystem(rs, lattice_map(rs.rho), rs.simple_roots, rs.rho)
 
@@ -499,3 +513,22 @@ def torus_action(w: WeylElement, s: TorusElement) -> TorusElement:
     winv = w.inverse()
     torsion, free = zip(*map(s.value_at, winv.images))
     return TorusElement._reduced(torsion, free)
+
+
+def carries(w: WeylElement, s: TorusElement, t: TorusElement) -> bool:
+    """Whether w.s = t, decided on integers without inverting w: as
+    (w.s)(alpha) = s(w^{-1} alpha), it holds iff t(w alpha_i) = s(alpha_i)
+    for every row w alpha_i of ``w.images``, compared by cross-multiplying
+    the numerators of the integer views of s and t."""
+    if s.rank != t.rank or s.n_generators != t.n_generators:
+        return False
+    ds, tns, es, fns = s._int or s._integer_view()
+    dt, tnt, et, fnt = t._int or t._integer_view()
+    rows = w.images
+    if any(dot(row, tnt) % dt * ds != x * dt for row, x in zip(rows, tns)):
+        return False
+    return not any(
+        dot(row, col_t) * es != x * et
+        for col_s, col_t in zip(fns, fnt)
+        for row, x in zip(rows, col_s)
+    )

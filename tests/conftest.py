@@ -56,6 +56,25 @@ def a2_rotation_data(rs_a2):
     return d1, d2, galois
 
 
+# -- the Fraction pairing, the oracle of RootSystem.pairing on the integer form --
+
+
+def fraction_pairing(rs, beta, gamma):
+    """<beta, gamma-coroot> = 2(beta, gamma)/(gamma, gamma) summed in Fractions
+    over the Cartan matrix and the root lengths; ValueError off the integers."""
+    def form(x, y):
+        return sum(
+            xi * yj * rs.matrix[i][j] * rs.lengths[j]
+            for i, xi in enumerate(x) if xi
+            for j, yj in enumerate(y) if yj
+        )
+
+    val = 2 * Fraction(form(beta, gamma)) / form(gamma, gamma)
+    if val.denominator != 1:
+        raise ValueError("pairing of non-roots")
+    return int(val)
+
+
 # -- Fraction references for the integer elimination ----------------------------
 
 

@@ -105,6 +105,17 @@ def test_equiv_mismatched_models(rotation_files, tmp_path, capsys):
     assert main(["equiv", p1, str(other)]) == 2
 
 
+def test_equiv_refuses_a_float_torsion_value(tmp_path, capsys):
+    """0.3333333333333333 would otherwise parse as 3333333333333333/10^16."""
+    bad = tmp_path / "float.json"
+    bad.write_text(
+        '{"type": "A2", "galois": "trivial", '
+        '"s": {"torsion": [0.3333333333333333, 0]}, "cocycle": {}}'
+    )
+    assert main(["equiv", str(bad), str(bad)]) == 2
+    assert "float" in capsys.readouterr().err
+
+
 def test_equiv_singular_cocycle_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "singular.json"
     bad.write_text(

@@ -234,6 +234,20 @@ def test_equivalent_agrees_with_brute_force_on_random_data():
     assert verdicts == {True, False}
 
 
+def test_a_singular_family_value_is_refused_directly(a2):
+    galois = build_galois_model("c2:inner", a2)
+    family = [WeylElement.identity(2), WeylElement(((1, 1), (1, 1)))]
+    with pytest.raises(InvalidInput):
+        EndoscopicDatum(a2, galois, TorusElement.identity(2), family, ())
+
+
+def test_make_datum_refuses_a_value_off_the_cartan_integers(a2):
+    """Invertible and fixing s, but alpha_1 + alpha_2 -> alpha_1 + 2 alpha_2."""
+    galois = build_galois_model("c2:inner", a2)
+    with pytest.raises(InvalidInput, match="does not permute the roots"):
+        make_datum(a2, galois, TorusElement.identity(2), {"g": [[1, 0], [1, 1]]})
+
+
 def test_out_group_sizes(a1, a2):
     d, _ = a1_swap_datum(a1)
     assert len(out_group(d)) == 2

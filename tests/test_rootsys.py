@@ -11,8 +11,11 @@ from endatlas.rootsys import (
     _positive_root_count,
     affine_diagram,
     build_root_system,
+    product_root_system,
     subdiagram_components,
 )
+
+from conftest import fraction_pairing
 
 # the classical root counts are the independent oracle for the closure generation
 CLASSICAL_COUNT = {
@@ -192,6 +195,26 @@ def test_reflection_closure_and_pairing(name, data):
     q = data.draw(st.sampled_from(roots))
     assert isinstance(rs.pairing(r, q), int)
     assert rs.reflect(q, r) in rs.all_roots
+
+
+PAIRING_TYPES = [str(ct) for ct in ALL_TYPES_THROUGH_RANK_8 if ct.rank <= 4] + ["E6", "B2xC2"]
+
+
+@pytest.mark.parametrize("name", PAIRING_TYPES)
+def test_pairing_on_the_integer_form_matches_the_fraction_formula(name):
+    """Every root pair, including the differently scaled factors of B2 x C2."""
+    rs = product_root_system(name.split("x"))
+    for beta in rs.all_roots:
+        for gamma in rs.all_roots:
+            assert rs.pairing(beta, gamma) == fraction_pairing(rs, beta, gamma)
+
+
+def test_pairing_refuses_a_non_integer_quotient(a2):
+    beta, gamma = (0, 1), (2, 0)
+    with pytest.raises(ValueError):
+        fraction_pairing(a2, beta, gamma)
+    with pytest.raises(InvalidInput, match="pairing of non-roots"):
+        a2.pairing(beta, gamma)
 
 
 @pytest.mark.parametrize("name", ["A21", "A40", "B16", "D17"])

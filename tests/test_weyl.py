@@ -17,6 +17,7 @@ from endatlas.weyl import (
     _transport_in_subsystem,
     alcove_form,
     alcove_omega,
+    carries,
     enumerate_affine_automorphisms,
     enumerate_delta_automorphisms,
     enumerate_weyl,
@@ -451,6 +452,46 @@ def random_word(draw, rs):
     for j in draw(st.lists(st.integers(0, rs.rank - 1), max_size=6 if rs.rank > 6 else 12)):
         w = simple_reflections(rs)[j] * w
     return w
+
+
+CARRIES_TYPES = ["A1", "A2", "A3", "A4", "B3", "C3", "G2", "D4"]
+
+
+@st.composite
+def torus_comparisons(draw):
+    """A type, w in W or in W.Aut(Delta), s with 0-2 free generators and
+    torsion denominators 1-12, and t of one of three kinds: w.s, w.s with
+    one coordinate moved, or w.s with one free generator more or less."""
+    rs = build_root_system(draw(st.sampled_from(CARRIES_TYPES)))
+    w = random_word(draw, rs)
+    if draw(st.booleans()):
+        w = w * draw(st.sampled_from(enumerate_delta_automorphisms(rs))).lattice(rs)
+    n_gens = draw(st.integers(0, 2))
+    torsion = [Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12))) for _ in range(rs.rank)]
+    free = [[Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(n_gens)]
+            for _ in range(rs.rank)]
+    s = TorusElement(torsion, free)
+    image = torus_action(w, s)
+    torsion, free = list(image.torsion), [list(f) for f in image.free]
+    kind = draw(st.sampled_from(["image", "moved", "other-generators"]))
+    i = draw(st.integers(0, rs.rank - 1))
+    if kind == "moved" and n_gens and draw(st.booleans()):
+        free[i][draw(st.integers(0, n_gens - 1))] += Fraction(1, draw(st.integers(1, 3)))
+    elif kind == "moved":
+        torsion[i] += Fraction(draw(st.integers(1, 11)), 12)
+    elif kind == "other-generators":
+        free = [f[:-1] for f in free] if n_gens == 2 else [f + [0] for f in free]
+    return rs, w, s, TorusElement(torsion, free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_comparisons())
+def test_carries_decides_the_torus_action_equality(case):
+    rs, w, s, t = case
+    assert carries(w, s, t) == (torus_action(w, s) == t)
+    for x in (s, t):
+        one = (0, (0,) * x.n_generators)
+        assert all(x.trivial_at(r) == (x.value_at(r) == one) for r in rs.all_roots)
 
 
 @st.composite
