@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ._linalg import fixed_space_dimension
+from ._linalg import dot, fixed_space_dimension
 from .errors import InternalConsistencyError, InvalidInput, is_integer
 from .galois import Cocycle, GaloisModel, Place, restrict_model
 from .rootsys import RootSystem, root_sum
@@ -45,14 +45,20 @@ def centralizer_roots(rs: RootSystem, s: TorusElement):
 
 
 def _standard_borel(rs: RootSystem, s: TorusElement):
-    """The standard positive system of the centralizer subsystem, as its sum
-    rho (``root_sum``), and its simple system."""
+    """The standard positive system P of the centralizer subsystem, as its sum
+    rho (``root_sum``), and its simple system.
+
+    A root r of P is simple iff <rho, r^vee> = 2, i.e. (rho, r) = (r, r) in
+    ``rs.form`` (Bourbaki, Lie VI.1.10: the half-sum pairs to 1 with exactly
+    the simple coroots and to the coroot height, at least 2, with the other
+    positive coroots).  The components of the subsystem are orthogonal in
+    the ambient form, so the test holds on products and with free parts.
+    """
     sub_pos = centralizer_roots(rs, s) & rs.positives
-    base = [
-        r for r in sub_pos
-        if not any(tuple(a - b for a, b in zip(r, q)) in sub_pos for q in sub_pos if q != r)
-    ]
-    return root_sum(sub_pos, rs.rank), tuple(sorted(base))
+    rho = root_sum(sub_pos, rs.rank)
+    f_rho = [dot(row, rho) for row in rs.form]
+    base = [r for r in sub_pos if dot(r, f_rho) == dot(r, [dot(row, r) for row in rs.form])]
+    return rho, tuple(sorted(base))
 
 
 def standard_bprime_base(rs: RootSystem, s: TorusElement):
@@ -112,16 +118,14 @@ class EndoscopicDatum:
             raise InvalidInput(
                 "cocycle identity fails: the composite actions are not a homomorphism"
             )
+        base = set(self.bprime_base)
         for a in range(n):
             if not carries(self.family[a], self.s, self.s):
                 raise InvalidInput("the composite action does not fix s")
-            w_part = self.family[a] * self.galois.phi_lattice(a).inverse()
-            if weyl_part_if_member(self.rs, w_part) is None:
+            if weyl_part_if_member(self.rs, self.w_value(a)) is None:
                 raise InvalidInput("cocycle value is not in the Weyl group")
-            for b in self.bprime_base:
-                img = self.family[a](b)
-                if img not in set(self.bprime_base):
-                    raise InvalidInput("the composite action does not preserve the Borel")
+            if any(self.family[a](b) not in base for b in self.bprime_base):
+                raise InvalidInput("the composite action does not preserve the Borel")
 
     def w_value(self, a: int) -> WeylElement:
         """The Weyl part of the stored composite action at element a."""
@@ -253,9 +257,10 @@ def raw_form(datum: EndoscopicDatum) -> EndoscopicDatum:
     return make_datum_from_family(datum.rs, datum.galois, datum.s, datum.family)
 
 
-def transport_datum(datum: EndoscopicDatum, w: WeylElement) -> EndoscopicDatum:
-    """Conjugate the whole datum by w, in the raw convention."""
-    s2 = torus_action(w, datum.s)
+def transport_datum(datum: EndoscopicDatum, w: WeylElement, image=None) -> EndoscopicDatum:
+    """Conjugate the whole datum by w, in the raw convention.  ``image`` is
+    w.s when the caller has already shown it (``carries``); else it is computed."""
+    s2 = torus_action(w, datum.s) if image is None else image
     winv = w.inverse()
     fam = [w * a * winv for a in datum.family]
     return make_datum_from_family(datum.rs, datum.galois, s2, fam)
@@ -370,7 +375,8 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum):
     if not d1.galois.same_model(d2.galois):
         raise InvalidInput("data live over different Galois models")
     r1, r2 = raw_form(d1), raw_form(d2)
-    return next((w for w in _transporters(r1, r2) if transport_datum(r1, w) == r2), None)
+    # every candidate carries s1 onto s2, so its image datum lives on s2
+    return next((w for w in _transporters(r1, r2) if transport_datum(r1, w, r2.s) == r2), None)
 
 
 def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: int = 50000):
@@ -381,9 +387,7 @@ def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: in
         raise InvalidInput("data live over different Galois models")
     r1, r2 = raw_form(d1), raw_form(d2)
     for w in enumerate_weyl(d1.rs, cap=weyl_cap):
-        if not carries(w, r1.s, r2.s):
-            continue
-        if transport_datum(r1, w) == r2:
+        if carries(w, r1.s, r2.s) and transport_datum(r1, w, r2.s) == r2:
             return w
     return None
 

@@ -54,13 +54,9 @@ class ReductionPlan:
     s_level_sets: tuple = ()   # (S^M, S^U, S^Ubar) computed from t
 
 
-def _free_exponent_basis(rs: RootSystem, s: TorusElement):
+def _free_exponent_basis(free_parts):
     """Hermite-reduced basis of the lattice generated by the free parts."""
-    vecs = []
-    for r in rs.simple_roots:
-        _, f = s.value_at(r)
-        if any(f):
-            vecs.append(f)
+    vecs = [f for f in free_parts if any(f)]
     if not vecs:
         return ()
     denom = lcm(*(x.denominator for v in vecs for x in v))
@@ -73,14 +69,13 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     """The full plan for one torus element (already standardized) of a
     simple type; the class weights c read the marks."""
     rs._require_simple()
-    r_basis = _free_exponent_basis(rs, s)
+    # (torsion, free part) of every root, evaluated once
+    value_of = {r: s.value_at(r) for r in rs.all_roots}
+    r_basis = _free_exponent_basis(value_of[r][1] for r in rs.simple_roots)
     sigma_p, sigma_m = set(), set()
-    free_of = {}
-    for r in rs.all_roots:
+    for r, (_, f) in value_of.items():
         # the Hermite basis is echelon with positive pivots, so the lex sign
         # of a free part equals the lex sign of its coordinates over it
-        _, f = s.value_at(r)
-        free_of[r] = f
         if not any(f):
             sigma_m.add(r)
             sigma_p.add(r)
@@ -104,7 +99,7 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     # classes by equal free part, ordered by smallest member
     by_free = {}
     for i in delta_moved:
-        by_free.setdefault(free_of[rs.simple_roots[i - 1]], []).append(i)
+        by_free.setdefault(value_of[rs.simple_roots[i - 1]][1], []).append(i)
     classes = tuple(
         tuple(sorted(v)) for v in sorted(by_free.values(), key=lambda v: min(v))
     )
@@ -112,15 +107,12 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     # minimal b: kills torsion on Sigma^M and torsion differences on equal-free roots
     b = 1
     for r in sigma_m:
-        t, _ = s.value_at(r)
-        b = lcm(b, t.denominator)
+        b = lcm(b, value_of[r][0].denominator)
     groups = {}
-    for r in rs.all_roots:
-        groups.setdefault(free_of[r], []).append(r)
-    for grp in groups.values():
-        t0, _ = s.value_at(grp[0])
-        for r in grp[1:]:
-            t1, _ = s.value_at(r)
+    for t, f in value_of.values():
+        groups.setdefault(f, []).append(t)
+    for t0, *rest in groups.values():
+        for t1 in rest:
             b = lcm(b, (t1 - t0).denominator)
     c = sum(
         (k + 1) * rs.marks[i] for k, cl in enumerate(classes) for i in cl
@@ -129,12 +121,12 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     torsion = []
     class_of = {i: k for k, cl in enumerate(classes) for i in cl}
     for i in range(1, rs.rank + 1):
-        t_i, _ = s.value_at(rs.simple_roots[i - 1])
+        t_i = value_of[rs.simple_roots[i - 1]][0]
         if i in delta_fixed:
             torsion.append(t_i)
         else:
             k = class_of[i]
-            t_rep, _ = s.value_at(rs.simple_roots[reps[k] - 1])
+            t_rep = value_of[rs.simple_roots[reps[k] - 1]][0]
             torsion.append(Fraction(k + 1, d) + t_i - t_rep)
     t_elem = TorusElement(torsion)
     if t_elem.order() % 1 != 0 or d % t_elem.order() != 0:

@@ -140,8 +140,8 @@ class RootSystem:
         n = self.rank
         n_pos = sum(_positive_root_count(ct) for ct, _ in self.components)
         if n_pos**2 * n > DEFAULT_WORK_CAP:
-            # quadratic root-pair sweeps such as the base test of endodata._standard_borel
-            # cost |Phi+|^2 . rank
+            # quadratic root-pair sweeps such as the minimality test of
+            # elliptic.verify_sigma_structure cost |Phi+|^2 . rank
             raise CapExceeded(f"root system of rank {n} exceeds the work cap {DEFAULT_WORK_CAP}")
         m = [[0] * n for _ in range(n)]
         for ct, off in self.components:
@@ -341,6 +341,11 @@ def diagram_isomorphisms(pattern, pair, nodes):
     nodes = sorted(nodes)
     size = len(pattern)
     assigned = []
+    # a bijection onto ``nodes`` permutes the rows and their entries
+    if len(nodes) == size and sorted(sorted(row) for row in pattern) != sorted(
+        sorted(pair[i][j] for j in nodes) for i in nodes
+    ):
+        return iter(())
 
     def extend():
         pos = len(assigned)

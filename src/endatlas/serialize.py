@@ -68,14 +68,15 @@ def weyl_to_list(w: WeylElement) -> list:
 
 
 def datum_to_dict(datum: EndoscopicDatum) -> dict:
+    values = [datum.w_value(a) for a in range(len(datum.galois))]
     return {
         "type": str(datum.rs.type),
         "galois": model_to_dict(datum.galois),
         "s": torus_to_dict(datum.s),
         "cocycle": {
-            datum.galois.names[a]: weyl_to_list(datum.w_value(a))
-            for a in range(len(datum.galois))
-            if not datum.w_value(a).is_identity()
+            name: weyl_to_list(w)
+            for name, w in zip(datum.galois.names, values)
+            if not w.is_identity()
         },
     }
 

@@ -9,6 +9,11 @@ VI.1): every chamber descent reflects rho_P alone, in the integer invariant
 form ``rs.form``, and never maps a root set.  Omega has one construction,
 ``alcove_omega``; ``omega_group`` reads the node permutations off it.
 
+Work that depends on the root system alone is kept on it, built once: the
+reflections (``_reflection``), the alcove walls and Omega_J per J, the
+lattice map of each node permutation (``DiagramAut.lattice``, whose inverse
+then persists with it), and the verdict of ``weyl_part_if_member`` per map.
+
 ``torus_action`` computes w.s, inverting w once.  Every test of w.s = t goes
 through ``carries`` instead, which reads the images of w directly and
 compares integer numerators, so no comparison ever inverts a Weyl element.
@@ -110,15 +115,22 @@ class DiagramAut:
         return self.perm[0] == 0
 
     def lattice(self, rs: RootSystem) -> WeylElement:
-        """The induced lattice map (consistent on node 0 via the marks relation)."""
-        if not rs.is_simple:
-            # product systems have no affine node; the perm fixes slot 0
-            images = tuple(rs.simple_roots[self.perm[i + 1] - 1] for i in range(rs.rank))
-            return WeylElement(images)
-        images = tuple(rs.node_root(self.perm[i + 1]) for i in range(rs.rank))
-        out = WeylElement(images)
-        if out(rs.lowest_root) != rs.node_root(self.perm[0]):
-            raise InternalConsistencyError("node permutation breaks the marks relation")
+        """The induced lattice map (consistent on node 0 via the marks relation),
+        built and checked once per permutation and root system, so its inverse
+        is computed once too."""
+        cache = getattr(rs, "_node_lattices", None)
+        if cache is None:
+            cache = rs._node_lattices = {}
+        out = cache.get(self.perm)
+        if out is None:
+            if not rs.is_simple:
+                # product systems have no affine node; the perm fixes slot 0
+                out = WeylElement(tuple(rs.simple_roots[self.perm[i + 1] - 1] for i in range(rs.rank)))
+            else:
+                out = WeylElement(tuple(rs.node_root(self.perm[i + 1]) for i in range(rs.rank)))
+                if out(rs.lowest_root) != rs.node_root(self.perm[0]):
+                    raise InternalConsistencyError("node permutation breaks the marks relation")
+            cache[self.perm] = out
         return out
 
 
@@ -392,9 +404,16 @@ def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
 
 
 def weyl_part_if_member(rs: RootSystem, lattice_map: WeylElement):
-    """The map itself when it lies in W, else None (works for product systems)."""
-    w = _descent_of(rs, lattice_map)
-    return lattice_map if w is not None and (w * lattice_map).is_identity() else None
+    """The map itself when it lies in W, else None (works for product systems).
+    The verdict is decided once per map and root system."""
+    cache = getattr(rs, "_weyl_members", None)
+    if cache is None:
+        cache = rs._weyl_members = {}
+    member = cache.get(lattice_map.images)
+    if member is None:
+        w = _descent_of(rs, lattice_map)
+        member = cache[lattice_map.images] = w is not None and (w * lattice_map).is_identity()
+    return lattice_map if member else None
 
 
 # -- diagram automorphisms and Omega ------------------------------------------

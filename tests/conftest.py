@@ -336,3 +336,50 @@ def omega_by_membership(rs):
         if (w * lat).is_identity():
             out.append((aut.perm, lat.images))
     return sorted(out)
+
+
+# -- the difference search, the oracle of the base read off rho --------------------
+
+
+def difference_search_borel(rs, s):
+    """The standard positive system of the centralizer roots of s, as its sum,
+    and its simple system: the roots of the positive system that are no
+    difference r - q of two others."""
+    from endatlas.endodata import centralizer_roots
+    from endatlas.rootsys import root_sum
+
+    sub_pos = centralizer_roots(rs, s) & rs.positives
+    base = [
+        r for r in sub_pos
+        if not any(tuple(a - b for a, b in zip(r, q)) in sub_pos for q in sub_pos if q != r)
+    ]
+    return root_sum(sub_pos, rs.rank), tuple(sorted(base))
+
+
+# -- the unfiltered backtracking, the oracle of the row-multiset prefilter ---------
+
+
+def unfiltered_diagram_isomorphisms(pattern, pair, nodes):
+    """Every sequence f of distinct ``nodes`` with pair[f[p]][f[q]] == pattern[p][q],
+    in lexicographic order, by backtracking alone."""
+    nodes = sorted(nodes)
+    size = len(pattern)
+    assigned = []
+
+    def extend():
+        pos = len(assigned)
+        if pos == size:
+            yield tuple(assigned)
+            return
+        for cand in nodes:
+            if cand in assigned or pair[cand][cand] != pattern[pos][pos]:
+                continue
+            if all(
+                pair[a][cand] == pattern[p][pos] and pair[cand][a] == pattern[pos][p]
+                for p, a in enumerate(assigned)
+            ):
+                assigned.append(cand)
+                yield from extend()
+                assigned.pop()
+
+    return list(extend())

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
 from endatlas.galois import build_galois_model, places
-from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system, product_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import WeylElement, enumerate_weyl, simple_reflections, torus_action
 from endatlas.elliptic import _canonical_s_reps, _families_fixing, classify_elliptic
 from endatlas.suites import _random_torus
 from endatlas.endodata import (
     EndoscopicDatum,
+    _standard_borel,
     equivalent,
     equivalent_bruteforce,
     is_elliptic,
@@ -35,6 +36,7 @@ from endatlas.endodata import (
 from conftest import (
     a1_swap_datum,
     a2_rotation_data,
+    difference_search_borel,
     kernel_tower_ok,
     layer_criterion_elliptic,
     layered_construction,
@@ -512,3 +514,22 @@ def test_regular_elements_of_exceptional_types(name):
     witness = equivalent(d1, d2)
     assert witness is not None and witness_transports(d1, d2, witness)
     assert equivalent(d1, make_datum(rs, g, regular(), {})) is None
+
+
+BOREL_SYSTEMS = [(str(ct),) for ct in ALL_TYPES_THROUGH_RANK_8] + [
+    ("B2", "C2"), ("A1", "A1", "A1"), ("G2", "A2"),
+]
+
+
+@pytest.mark.parametrize("types", BOREL_SYSTEMS, ids="x".join)
+def test_standard_borel_base_read_off_rho_matches_the_difference_search(types):
+    """80 random s per system: torsion denominators 1-6 and 0-2 free
+    generators whose exponents are mostly 0, so the centralizers are large."""
+    rs = product_root_system(types)
+    rng = random.Random("borel-" + "x".join(types))
+    for _ in range(80):
+        den, n_gens = rng.randint(1, 6), rng.randint(0, 2)
+        torsion = [F(rng.randrange(den), den) for _ in range(rs.rank)]
+        free = [[F(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(n_gens)] for _ in range(rs.rank)]
+        s = TorusElement(torsion, free)
+        assert _standard_borel(rs, s) == difference_search_borel(rs, s), s

@@ -22,7 +22,7 @@ from endatlas.rootsys import (
 from endatlas.suites import shapiro_configurations
 from endatlas.weyl import omega_group
 
-from conftest import generating_set
+from conftest import generating_set, unfiltered_diagram_isomorphisms
 
 _PRESETS = ("trivial", "c2:inner", "c3:inner", "c2:outer", "c3:outer", "s3")
 
@@ -87,6 +87,37 @@ def test_subdiagram_components_take_the_least_bijection_per_candidate_type(ct):
             assert subdiagram_components(rs, subset) == comps, subset
             checked += 1
     assert checked == 2 ** len(rs.affine_nodes) - 2
+
+
+def _connected_subsets(pair, nodes):
+    """Every nonempty node subset connected in the diagram of ``pair``."""
+    found, frontier = set(), {frozenset([n]) for n in nodes}
+    while frontier:
+        found |= frontier
+        frontier = {
+            sub | {y} for sub in frontier for x in sub for y in nodes
+            if y not in sub and pair[x][y]
+        } - found
+    return sorted(found, key=sorted)
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_row_multiset_prefilter_lists_what_backtracking_lists(ct):
+    """On every connected affine-node subset, each candidate Cartan matrix of
+    its size, and the affine pairing on the whole node set, give the same
+    matches with the prefilter as without it."""
+    rs = build_root_system(ct)
+    pair = rs.affine_pairing
+    checked = 0
+    for subset in _connected_subsets(pair, rs.affine_nodes):
+        patterns = [cartan_matrix(cand) for cand in _candidate_types(len(subset))]
+        if len(subset) == len(rs.affine_nodes):
+            patterns.append(pair)
+        for pattern in patterns:
+            got = list(diagram_isomorphisms(pattern, pair, subset))
+            assert got == unfiltered_diagram_isomorphisms(pattern, pair, subset), (subset, pattern)
+            checked += bool(got)
+    assert checked
 
 
 @pytest.mark.parametrize("type_name", ["A1", "A2", "A3", "A4", "C2", "C3", "G2", "D4"])

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endatlas.errors import InvalidInput
-from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system, product_root_system, root_sum
+from endatlas.rootsys import (
+    ALL_TYPES_THROUGH_RANK_8,
+    CartanType,
+    RootSystem,
+    build_root_system,
+    product_root_system,
+    root_sum,
+)
 from endatlas.torus import TorusElement
 from endatlas.weyl import (
     DiagramAut,
@@ -600,3 +607,75 @@ def test_descent_refuses_a_set_that_is_no_positive_system(a2):
 
     with pytest.raises(InternalConsistencyError, match="non-positive system"):
         _transport_in_subsystem(a2, (1, 0), a2.simple_roots, a2.rho)
+
+
+def _fresh(types):
+    """A root system built afresh, so its memos start empty."""
+    if len(types) == 1:
+        return RootSystem([(types[0], 0)], _internal=True)
+    return product_root_system(types)
+
+
+# product systems with a diagram automorphism that is no Weyl element
+PRODUCT_SWAPS = {
+    ("B2", "C2"): DiagramAut((0, 3, 4, 1, 2)),
+    ("A1", "A1", "A1"): DiagramAut((0, 2, 3, 1)),
+    ("G2", "A2"): DiagramAut((0, 1, 2, 4, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "types", [(ct,) for ct in ALL_TYPES_THROUGH_RANK_8] + list(PRODUCT_SWAPS),
+    ids=lambda t: "x".join(map(str, t)),
+)
+def test_memoized_membership_matches_the_uncached_descent(types):
+    """Maps in W, in W.Aut(Delta) and off the roots, each queried twice on a
+    fresh root system with a non-member first; every answer is the verdict of
+    the descent, and a member answers with the map it was given."""
+    rs = _fresh(types)
+    rng = random.Random("membership-" + "x".join(map(str, types)))
+    if rs.is_simple:
+        twists = [d.lattice(rs) for d in enumerate_delta_automorphisms(rs)]
+    else:
+        twists = [WeylElement.identity(rs.rank), PRODUCT_SWAPS[types].lattice(rs)]
+
+    def word():
+        w = WeylElement.identity(rs.rank)
+        for _ in range(rng.randrange(12)):
+            w = simple_reflections(rs)[rng.randrange(rs.rank)] * w
+        return w
+
+    def off_the_roots():
+        rows = [list(row) for row in word().images]
+        rows[0] = [2 * x for x in rows[0]]
+        return WeylElement(rows)
+
+    twisted = [word() * d for d in twists[1:]]
+    maps = twisted[:1] + [off_the_roots()] + [word() for _ in range(4)]
+    maps += twisted[1:] + [word() * rng.choice(twists) for _ in range(4)] + [off_the_roots()]
+    for f in maps + [WeylElement(f.images) for f in maps]:
+        w = _descent_of(rs, f)
+        member = w is not None and (w * f).is_identity()
+        assert weyl_part_if_member(rs, f) is (f if member else None)
+    assert len(rs._weyl_members) == len({f.images for f in maps})
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "D4", "E6"])
+def test_node_lattices_are_built_once_and_keep_their_inverse(name):
+    rs = _fresh((CartanType.parse(name),))
+    for aut in enumerate_affine_automorphisms(rs):
+        lat = aut.lattice(rs)
+        assert DiagramAut(aut.perm).lattice(rs) is lat
+        assert aut.lattice(rs).inverse() is lat.inverse()
+        assert lat.inverse() * lat == WeylElement.identity(rs.rank)
+
+
+def test_a_node_permutation_off_the_marks_fails_on_every_call():
+    """C2 has marks (1, 2, 1): swapping nodes 0 and 1 breaks the relation."""
+    from endatlas.errors import InternalConsistencyError
+
+    rs = _fresh((CartanType("C", 2),))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="marks relation"):
+            DiagramAut((1, 0, 2)).lattice(rs)
+    assert not rs._node_lattices
