@@ -1,10 +1,13 @@
 """Enumeration and classification of elliptic data, with brute-force oracles.
 
 Elliptic data are generated from pairs (Omega-valued cocycle, single orbit on
-the completed diagram); the classification groups pairs under simultaneous
-Omega-conjugation.  The independent inventory enumerates every finite-order
-torus element within a bound together with every compatible Weyl cocycle and
-keeps the elliptic ones up to equivalence; the two routes must agree.
+the completed diagram).  Omega acts on the pairs by simultaneous conjugation,
+om . (c, O) = (om sigma' om^{-1}, om(O)) on the composite actions sigma', and
+the classes are the orbits of that action; Out of a class is the stabilizer
+of its representative.  The independent inventory enumerates every
+finite-order torus element within a bound together with every compatible Weyl
+cocycle and keeps the elliptic ones up to equivalence; the two routes must
+agree.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .weyl import (
     carries,
     enumerate_weyl,
     kac_coordinates,
-    omega_conjugating,
     omega_group,
     positive_system,
     torus_action,
@@ -86,13 +88,15 @@ def _pair_torus(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
 def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> EndoscopicDatum:
     """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it."""
     d, s = _pair_torus(rs, galois, pair)
+    n = len(galois)
     if d == 1:
-        # s = 1: the principal datum in disguise; the raw route norms it out
-        raw = make_datum(rs, galois, s, pair.cocycle)
-        return langlands_normalize(raw)[0]
+        # s = 1: the principal datum, Delta at level 0 and the diagram action
+        delta = rs.simple_roots
+        ld = LanglandsData(1, ((0, frozenset(delta)),), "Delta", WeylElement.identity(rs.rank))
+        family = [galois.phi_lattice(a) for a in range(n)]
+        return EndoscopicDatum(rs, galois, s, family, delta, normalized=True, langlands=ld)
     if s.order() != d:
         raise InternalConsistencyError("constructed s has the wrong order")
-    n = len(galois)
     family = [pair.cocycle.sigma_prime(galois, a).lattice(rs) for a in range(n)]
     base = tuple(sorted(rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit))
     for node in rs.affine_nodes:
@@ -105,14 +109,6 @@ def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> En
     return EndoscopicDatum(
         rs, galois, s, family, base, normalized=True, langlands=ld
     )
-
-
-def pair_equivalent(rs: RootSystem, galois: GaloisModel, p1: EllipticPair, p2: EllipticPair):
-    """The Omega element carrying one pair to the other, or None."""
-    n = len(galois)
-    sp1 = [p1.cocycle.sigma_prime(galois, a) for a in range(n)]
-    sp2 = [p2.cocycle.sigma_prime(galois, a) for a in range(n)]
-    return next(omega_conjugating(rs, [p1.orbit], [p2.orbit], sp1, sp2), None)
 
 
 @dataclass(frozen=True)
@@ -138,53 +134,57 @@ class ClassificationReport:
 
 
 def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationReport:
-    """Group the pairs by equivalence and attach the constructed data.
+    """The classes are the Omega-orbits of the pairs, with the constructed data.
 
-    The shape and Out are read off the representative pair: an orbit of
-    weight d = 1 is the principal datum (shape Delta, no Out), and otherwise
-    Out is the Omega stabilizer of the orbit and the composite action."""
+    Each Omega element gives one row: the index of the image of every pair,
+    om . (c, O) = (om sigma' om^{-1}, om(O)).  An image outside the pairs, or
+    a row that is not a permutation, means ``enumerate_pairs`` is not
+    Omega-stable.  The pairs are sorted, so each orbit's first member is its
+    least pair, the representative.  The shape and Out are read off it: an
+    orbit of weight d = 1 is the principal datum (shape Delta, no Out), and
+    otherwise Out is its stabilizer, the rows that fix it."""
     pairs = enumerate_pairs(rs, galois)
-    classes: list[list[EllipticPair]] = []
-    for p in pairs:
-        for cl in classes:
-            if pair_equivalent(rs, galois, cl[0], p) is not None:
-                cl.append(p)
-                break
-        else:
-            classes.append([p])
+    n = len(galois)
+    sps = [[p.cocycle.sigma_prime(galois, a) for a in range(n)] for p in pairs]
+    index = {
+        (tuple(a.perm for a in sp), p.orbit): i for i, (p, sp) in enumerate(zip(pairs, sps))
+    }
+    rows = []
+    for om in omega_group(rs):
+        inv = om.aut.inverse()
+        row = []
+        for p, sp in zip(pairs, sps):
+            image = (
+                tuple(om.aut.compose(a).compose(inv).perm for a in sp),
+                frozenset(om.aut(i) for i in p.orbit),
+            )
+            if image not in index:
+                raise InternalConsistencyError("an Omega image of a pair is not enumerated")
+            row.append(index[image])
+        if len(set(row)) != len(row):
+            raise InternalConsistencyError("an Omega element does not permute the pairs")
+        rows.append(row)
     entries = []
-    for cl in classes:
-        rep = min(cl, key=EllipticPair.sort_key)
-        datum = pair_to_datum(rs, galois, rep)
+    for cl in _orbits([row.__getitem__ for row in rows], range(len(pairs))):
+        i = min(cl)
+        rep, sp = pairs[i], sps[i]
         d = sum(rs.marks[node] for node in rep.orbit)
         dual_nodes = sorted(set(rs.affine_nodes) - set(rep.orbit))
         comps = tuple(
             (ct, tuple(nodes)) for ct, nodes in subdiagram_components(rs, dual_nodes)
         ) if dual_nodes else ()
-        sp = [rep.cocycle.sigma_prime(galois, a) for a in range(len(galois))]
-        action = tuple(
-            tuple((i, sp[a](i)) for i in dual_nodes) for a in range(len(galois))
-        )
-        shape = "Delta" if d == 1 else "DeltaA"
-        osize = None if d == 1 else sum(
-            1 for _ in omega_conjugating(rs, [rep.orbit], [rep.orbit], sp, sp)
-        )
+        action = tuple(tuple((j, sp[a](j)) for j in dual_nodes) for a in range(n))
         entries.append(
             ClassEntry(
                 pair=rep,
-                datum=datum,
+                datum=pair_to_datum(rs, galois, rep),
                 d=d,
                 dual_components=comps,
                 dual_action=action,
-                out_size=osize,
-                shape=shape,
+                out_size=None if d == 1 else sum(1 for row in rows if row[i] == i),
+                shape="Delta" if d == 1 else "DeltaA",
             )
         )
-    entries.sort(key=lambda e: e.pair.sort_key())
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if pair_equivalent(rs, galois, entries[i].pair, entries[j].pair) is not None:
-                raise InternalConsistencyError("class representatives are equivalent")
     return ClassificationReport(rs=rs, galois=galois, classes=tuple(entries))
 
 
@@ -220,9 +220,9 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
     elif plus | {vec_neg(r) for r in plus} != sigma0:
         fail("the centralizer roots do not split into opposite halves")
 
+    # the round trip through the raw normalization
+    ld = langlands_normalize(make_datum(rs, galois, s, pair.cocycle))[1]
     if d == 1:
-        raw = make_datum(rs, galois, s, pair.cocycle)
-        nd, ld = langlands_normalize(raw)
         if ld.shape != "Delta" or ld.d != 1:
             fail("a weight-one orbit did not normalize to the principal shape")
         return rep
@@ -242,9 +242,6 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
     if minimal != orbit_vecs:
         fail("the orbit is not the minimal slice of the zeta_d level set")
 
-    # round trip through the raw normalization
-    raw = make_datum(rs, galois, s, pair.cocycle)
-    nd, ld = langlands_normalize(raw)
     if ld.shape != "DeltaA":
         fail("constructed datum did not normalize to the completed diagram")
     if ld.d != d:

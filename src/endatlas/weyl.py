@@ -484,22 +484,6 @@ def omega_by_node(rs: RootSystem):
     return {om.aut(0): om for om in omega_group(rs)}
 
 
-def omega_conjugating(rs: RootSystem, sets1, sets2, acts1, acts2):
-    """The Omega elements om, in order, with om(sets1[i]) = sets2[i] for every
-    node set and om . acts1[a] . om^{-1} = acts2[a] for every node action."""
-    for om in omega_group(rs):
-        if any(
-            frozenset(om.aut(i) for i in x) != y for x, y in zip(sets1, sets2)
-        ):
-            continue
-        inv = om.aut.inverse()
-        if all(
-            om.aut.compose(a1).compose(inv).perm == a2.perm
-            for a1, a2 in zip(acts1, acts2)
-        ):
-            yield om
-
-
 def enumerate_weyl(rs: RootSystem, cap: int = 2_000_000):
     """Every element of W as a lattice map, by closure over simple reflections."""
     cached = getattr(rs, "_weyl_cache", None)

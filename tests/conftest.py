@@ -259,6 +259,47 @@ def generating_set(model):
     return gens
 
 
+# -- the pairwise Omega search, the oracle of the Omega action on the pairs -------
+
+
+def omega_conjugating(rs, sets1, sets2, acts1, acts2):
+    """The Omega elements om, in order, with om(sets1[i]) = sets2[i] for every
+    node set and om . acts1[a] . om^{-1} = acts2[a] for every node action."""
+    for om in omega_group(rs):
+        if any(
+            frozenset(om.aut(i) for i in x) != y for x, y in zip(sets1, sets2)
+        ):
+            continue
+        inv = om.aut.inverse()
+        if all(
+            om.aut.compose(a1).compose(inv).perm == a2.perm
+            for a1, a2 in zip(acts1, acts2)
+        ):
+            yield om
+
+
+def pair_equivalent(rs, galois, p1, p2):
+    """The Omega element carrying one pair to the other, or None."""
+    n = len(galois)
+    sp1 = [p1.cocycle.sigma_prime(galois, a) for a in range(n)]
+    sp2 = [p2.cocycle.sigma_prime(galois, a) for a in range(n)]
+    return next(omega_conjugating(rs, [p1.orbit], [p2.orbit], sp1, sp2), None)
+
+
+def pairwise_classes(rs, galois, pairs):
+    """The pairs grouped by a greedy pairwise search: each pair joins the
+    first class whose first pair ``pair_equivalent`` carries onto it."""
+    classes = []
+    for p in pairs:
+        for cl in classes:
+            if pair_equivalent(rs, galois, cl[0], p) is not None:
+                cl.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
 # -- Out and the kernel tower, read off the normalized datum ----------------------
 
 
@@ -266,7 +307,6 @@ def out_group(datum):
     """Out of the datum: the Omega elements stabilizing the layers and the action."""
     from endatlas.endodata import langlands_normalize
     from endatlas.errors import InvalidInput
-    from endatlas.weyl import omega_conjugating
 
     nd = langlands_normalize(datum)[0]
     if nd.langlands.shape != "DeltaA":

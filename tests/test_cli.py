@@ -105,6 +105,20 @@ def test_equiv_mismatched_models(rotation_files, tmp_path, capsys):
     assert main(["equiv", p1, str(other)]) == 2
 
 
+def test_equiv_mismatched_types(tmp_path, capsys):
+    """An A2 datum against a C2 datum is refused by ``equivalent`` (exit 2)."""
+    paths = []
+    for name in ("A2", "C2"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            f'{{"type": "{name}", "galois": "trivial", '
+            '"s": {"torsion": ["0", "0"]}, "cocycle": {}}'
+        )
+        paths.append(str(path))
+    assert main(["equiv", *paths]) == 2
+    assert "different root systems" in capsys.readouterr().err
+
+
 def test_equiv_refuses_a_float_torsion_value(tmp_path, capsys):
     """0.3333333333333333 would otherwise parse as 3333333333333333/10^16."""
     bad = tmp_path / "float.json"

@@ -5,26 +5,33 @@ from fractions import Fraction
 
 import pytest
 
-from endatlas.errors import CapExceeded
+from endatlas.errors import CapExceeded, InternalConsistencyError, InvalidInput
 from endatlas.galois import build_galois_model
-from endatlas.rootsys import build_root_system
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system
 from endatlas.torus import TorusElement
-from endatlas.endodata import equivalent, is_elliptic, langlands_normalize
-from endatlas.weyl import omega_conjugating
+from endatlas.endodata import equivalent, is_elliptic, langlands_normalize, principal_datum
 from endatlas.elliptic import (
     DEFAULT_WORK_CAP,
+    EllipticPair,
     _build_inventory,
     _canonical_s_reps,
     brute_force_inventory,
     classify_elliptic,
     enumerate_pairs,
     match_classification,
-    pair_equivalent,
     pair_to_datum,
     verify_sigma_structure,
 )
 
-from conftest import bfs_canonical_s_reps, out_group
+from endatlas.weyl import omega_group
+
+from conftest import (
+    bfs_canonical_s_reps,
+    omega_conjugating,
+    out_group,
+    pair_equivalent,
+    pairwise_classes,
+)
 
 F = Fraction
 
@@ -355,3 +362,71 @@ def test_classify_reads_shape_and_out_off_the_pair(type_name, spec):
         orbit = [entry.pair.orbit]
         stabilizer = list(omega_conjugating(rs, orbit, orbit, sp, sp))
         assert entry.out_size == len(stabilizer) == len(out_group(entry.datum))
+
+
+OMEGA_ORBIT_CONFIGS = [
+    (str(ct), spec)
+    for ct in ALL_TYPES_THROUGH_RANK_8
+    if ct.rank <= 4
+    for spec in ("trivial", "c2:inner", "c3:inner", "c2:outer")
+    if spec != "c2:outer" or str(ct) in ("A2", "A3", "A4", "D4")
+] + [("D4", "s3"), ("D4", "c3:outer"), ("E6", "c2:outer"), ("E6", "c3:inner")]
+
+
+@pytest.mark.parametrize("type_name, spec", OMEGA_ORBIT_CONFIGS)
+def test_omega_orbits_are_the_pairwise_classes(type_name, spec):
+    """The Omega-orbits of the pairs are the classes of the pairwise search,
+    with the same least representatives in the same order, and Out is the
+    number of Omega elements the pairwise search finds fixing the
+    representative (orbit-stabilizer gives the class size)."""
+    rs = build_root_system(type_name)
+    g = build_galois_model(spec, rs)
+    classes = pairwise_classes(rs, g, enumerate_pairs(rs, g))
+    report = classify_elliptic(rs, g)
+    reps = sorted((min(cl, key=EllipticPair.sort_key) for cl in classes), key=EllipticPair.sort_key)
+    assert [e.pair for e in report.classes] == reps
+    sizes = {min(cl, key=EllipticPair.sort_key): len(cl) for cl in classes}
+    for entry in report.classes:
+        sp = [entry.pair.cocycle.sigma_prime(g, a) for a in range(len(g))]
+        orbit = [entry.pair.orbit]
+        stabilizer = list(omega_conjugating(rs, orbit, orbit, sp, sp))
+        assert entry.out_size == (None if entry.d == 1 else len(stabilizer))
+        assert sizes[entry.pair] * len(stabilizer) == len(omega_group(rs))
+
+
+@pytest.mark.parametrize("edit", ["drop", "repeat"])
+def test_classify_refuses_pairs_that_are_not_omega_stable(monkeypatch, a2, edit):
+    """Dropping a pair leaves an Omega image outside the index; repeating one
+    makes the identity row map two pairs to one index."""
+    from endatlas import elliptic
+
+    g = build_galois_model("c3:inner", a2)
+    pairs = enumerate_pairs(a2, g)
+    edited = pairs[1:] if edit == "drop" else pairs + pairs[:1]
+    monkeypatch.setattr(elliptic, "enumerate_pairs", lambda rs, galois: list(edited))
+    with pytest.raises(InternalConsistencyError):
+        classify_elliptic(a2, g)
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_weight_one_pairs_give_the_normalized_principal_datum(ct):
+    """At d = 1, s = 1 and ``pair_to_datum`` builds the principal datum
+    directly; it is the Langlands normalization of ``principal_datum``."""
+    rs = build_root_system(ct)
+    checked = 0
+    for spec in ("trivial", "c2:outer", "c3:outer", "s3"):
+        try:
+            g = build_galois_model(spec, rs)
+        except InvalidInput:
+            continue  # the type has no such diagram automorphism
+        want, wld = langlands_normalize(principal_datum(rs, g))
+        for pair in enumerate_pairs(rs, g):
+            if sum(rs.marks[i] for i in pair.orbit) != 1:
+                continue
+            got = pair_to_datum(rs, g, pair)
+            ld = got.langlands
+            assert got.key() == want.key()
+            assert got.normalized and want.normalized
+            assert (ld.layers, ld.shape, ld.d, ld.u) == (wld.layers, wld.shape, wld.d, wld.u)
+            checked += 1
+    assert checked >= 1
