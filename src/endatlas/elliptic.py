@@ -58,12 +58,15 @@ class EllipticPair:
 
 
 def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
+    """Check that a pair is a cocycle with a single orbit; return its
+    composite actions."""
     n = len(galois)
     sp = [pair.cocycle.sigma_prime(galois, a) for a in range(n)]
     if not galois.is_homomorphism(sp):
         raise InvalidInput("pair cocycle is not a cocycle")
     if pair.orbit not in _orbits(sp, rs.affine_nodes):
         raise InvalidInput("orbit is not a single orbit of the composite action")
+    return sp
 
 
 def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
@@ -75,19 +78,34 @@ def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
     return sorted(pairs, key=EllipticPair.sort_key)
 
 
+def _orbit_torus(rs: RootSystem, pair: EllipticPair):
+    """(d, s) with s of value zeta_d on the orbit, 1 off it.  The torsion
+    values 1/d and 0 are already reduced mod 1; at d = 1, s = 1."""
+    d = sum(rs.marks[node] for node in pair.orbit)
+    zeta = Fraction(1, d) if d > 1 else Fraction(0)
+    torsion = tuple(zeta if (i + 1) in pair.orbit else Fraction(0) for i in range(rs.rank))
+    return d, TorusElement._reduced(torsion, ((),) * rs.rank)
+
+
 def _pair_torus(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
     """Validate a pair; return (d, s) with s of value zeta_d on the orbit, 1 off it."""
     _validate_pair(rs, galois, pair)
-    d = sum(rs.marks[node] for node in pair.orbit)
-    torsion = [
-        Fraction(1, d) if (i + 1) in pair.orbit else Fraction(0) for i in range(rs.rank)
-    ]
-    return d, TorusElement(torsion)
+    return _orbit_torus(rs, pair)
 
 
-def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> EndoscopicDatum:
-    """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it."""
-    d, s = _pair_torus(rs, galois, pair)
+def pair_to_datum(
+    rs: RootSystem, galois: GaloisModel, pair: EllipticPair, actions=None
+) -> EndoscopicDatum:
+    """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it.
+
+    ``actions`` are the pair's composite actions sigma'(a), one per element of
+    Gamma, as ``classify_elliptic`` holds them from the enumeration: the pair
+    is then a cocycle with a single orbit by construction and is not checked
+    again.  Without them the pair is validated, so a forged pair is an
+    ``InvalidInput``.  The constructed datum is checked either way."""
+    if actions is None:
+        actions = _validate_pair(rs, galois, pair)
+    d, s = _orbit_torus(rs, pair)
     n = len(galois)
     if d == 1:
         # s = 1: the principal datum, Delta at level 0 and the diagram action
@@ -97,7 +115,7 @@ def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> En
         return EndoscopicDatum(rs, galois, s, family, delta, normalized=True, langlands=ld)
     if s.order() != d:
         raise InternalConsistencyError("constructed s has the wrong order")
-    family = [pair.cocycle.sigma_prime(galois, a).lattice(rs) for a in range(n)]
+    family = [a.lattice(rs) for a in actions]
     base = tuple(sorted(rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit))
     for node in rs.affine_nodes:
         t, _ = s.value_at(rs.node_root(node))
@@ -137,30 +155,39 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
     """The classes are the Omega-orbits of the pairs, with the constructed data.
 
     Each Omega element gives one row: the index of the image of every pair,
-    om . (c, O) = (om sigma' om^{-1}, om(O)).  An image outside the pairs, or
-    a row that is not a permutation, means ``enumerate_pairs`` is not
-    Omega-stable.  The pairs are sorted, so each orbit's first member is its
-    least pair, the representative.  The shape and Out are read off it: an
-    orbit of weight d = 1 is the principal datum (shape Delta, no Out), and
-    otherwise Out is its stabilizer, the rows that fix it."""
+    om . (c, O) = (om sigma' om^{-1}, om(O)).  The conjugate om sigma' om^{-1}
+    is computed once per cocycle and shared by its pairs.  An image outside
+    the pairs, or a row that is not a permutation, means ``enumerate_pairs``
+    is not Omega-stable.  The pairs are sorted, so each orbit's first member
+    is its least pair, the representative.  The shape and Out are read off
+    it: an orbit of weight d = 1 is the principal datum (shape Delta, no Out),
+    and otherwise Out is its stabilizer, the rows that fix it.  Each
+    representative's datum is built by ``pair_to_datum`` from the composite
+    actions of the enumeration, and checked as an ``EndoscopicDatum``."""
     pairs = enumerate_pairs(rs, galois)
     n = len(galois)
-    sps = [[p.cocycle.sigma_prime(galois, a) for a in range(n)] for p in pairs]
-    index = {
-        (tuple(a.perm for a in sp), p.orbit): i for i, (p, sp) in enumerate(zip(pairs, sps))
-    }
+    # the composite actions of each cocycle, built once and shared by its pairs
+    built = {}
+    sps = []
+    for p in pairs:
+        ck = p.cocycle.key()
+        if ck not in built:
+            built[ck] = [p.cocycle.sigma_prime(galois, a) for a in range(n)]
+        sps.append(built[ck])
+    keys = [tuple(a.perm for a in sp) for sp in sps]
+    actions = dict(zip(keys, sps))
+    index = {(key, p.orbit): i for i, (key, p) in enumerate(zip(keys, pairs))}
     rows = []
     for om in omega_group(rs):
         inv = om.aut.inverse()
-        row = []
-        for p, sp in zip(pairs, sps):
-            image = (
-                tuple(om.aut.compose(a).compose(inv).perm for a in sp),
-                frozenset(om.aut(i) for i in p.orbit),
-            )
-            if image not in index:
-                raise InternalConsistencyError("an Omega image of a pair is not enumerated")
-            row.append(index[image])
+        conj = {key: tuple((om.aut * a * inv).perm for a in sp) for key, sp in actions.items()}
+        perm = om.aut.perm
+        row = [
+            index.get((conj[key], frozenset(perm[i] for i in p.orbit)))
+            for key, p in zip(keys, pairs)
+        ]
+        if None in row:
+            raise InternalConsistencyError("an Omega image of a pair is not enumerated")
         if len(set(row)) != len(row):
             raise InternalConsistencyError("an Omega element does not permute the pairs")
         rows.append(row)
@@ -177,7 +204,7 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
         entries.append(
             ClassEntry(
                 pair=rep,
-                datum=pair_to_datum(rs, galois, rep),
+                datum=pair_to_datum(rs, galois, rep, sp),
                 d=d,
                 dual_components=comps,
                 dual_action=action,

@@ -190,12 +190,15 @@ def degenerate_plan(s: TorusElement) -> ReductionPlan:
     return ReductionPlan(bypass=True, t=s)
 
 
-def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
+def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum, plan=None):
     """Replace the common torus element by a finite-order one in both data.
 
     Returns (reduced d1, reduced d2, plan).  Finite-order input bypasses the
     construction; the general case first conjugates both data by one Weyl
     element making the free-sign parabolic standard (recorded in the plan).
+    The plan depends on the common s alone: a caller that already holds the
+    plan of this s may pass it, and it is not built again.  Each family is
+    still checked to fix t, and the centralizers of s and t compared.
     """
     r1, r2 = raw_form(d1), raw_form(d2)
     if r1.s != r2.s:
@@ -203,9 +206,13 @@ def finite_order_reduction(d1: EndoscopicDatum, d2: EndoscopicDatum):
     if r1.s.is_finite_order():
         return d1, d2, degenerate_plan(r1.s)
     rs = d1.rs
-    w_std = free_dominance(rs, r1.s)
-    s_std = torus_action(w_std, r1.s)
-    plan = replace(build_reduction_plan(rs, s_std), standardizer=w_std)
+    if plan is None:
+        w_std = free_dominance(rs, r1.s)
+        s_std = torus_action(w_std, r1.s)
+        plan = replace(build_reduction_plan(rs, s_std), standardizer=w_std)
+    else:
+        w_std = plan.standardizer
+        s_std = torus_action(w_std, r1.s)
     t = plan.t
     winv = w_std.inverse()
     out = []
@@ -232,16 +239,19 @@ def fixers_agree(rs: RootSystem, s: TorusElement, t: TorusElement, maps) -> bool
     return True
 
 
-def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum) -> bool:
+def reduction_preserves_equivalence(d1: EndoscopicDatum, d2: EndoscopicDatum, plan=None) -> bool:
     """Equivalence verdicts before (direct Weyl search) and after the reduction
-    (``equivalent`` on the reduced data) must agree; False falsifies."""
+    (``equivalent`` on the reduced data) must agree; False falsifies.  The
+    reduction runs on d1 transported onto d2's s; ``plan``, when given, is
+    the reduction plan of that s (as ``finite_order_reduction(d1, d2)``
+    returns it for data with a common s), and is reused."""
     before = equivalent_bruteforce(d1, d2) is not None
     r1, r2 = raw_form(d1), raw_form(d2)
     w0 = next(_transporters(r1, r2), None)
     if w0 is None:
         # no Weyl transport between the torus elements: both verdicts negative
         return before is False
-    red1, red2, _ = finite_order_reduction(transport_datum(r1, w0), r2)
+    red1, red2, _ = finite_order_reduction(transport_datum(r1, w0), r2, plan)
     after = equivalent(red1, red2) is not None
     return before == after
 

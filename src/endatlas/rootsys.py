@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 
-from ._linalg import rank as q_rank
 from ._linalg import dot, vec_neg, vec_sub
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InvalidInput
 
@@ -385,16 +384,23 @@ def subdiagram_components(rs: RootSystem, nodes):
     """Connected components of the labeled subdiagram induced on affine nodes.
 
     ``nodes`` is a collection of affine node indices, linearly independent as
-    roots.  Returns [(CartanType, [node indices in Bourbaki order])], sorted.
+    roots.  The node roots of a simple system satisfy exactly one linear
+    relation, sum m_i node_root(i) = 0 over the marks, and every mark is
+    positive, so a node set is dependent exactly when it is all of them;
+    that set is an ``InvalidInput``.  Returns [(CartanType, [node indices in
+    Bourbaki order])], sorted.  Each connected node set is recognized once
+    per root system (``rs._components``); the lists returned are fresh.
     """
     rs._require_simple()
     nodes = sorted(set(nodes))
     for n in nodes:
         if n not in rs.affine_nodes:
             raise InvalidInput(f"unknown affine node {n}")
-    vecs = [rs.node_root(n) for n in nodes]
-    if q_rank(vecs) != len(vecs):
+    if len(nodes) == len(rs.affine_nodes):
         raise InvalidInput("node set is linearly dependent as roots")
+    cache = getattr(rs, "_components", None)
+    if cache is None:
+        cache = rs._components = {}
     pair = rs.affine_pairing
     remaining = set(nodes)
     comps = []
@@ -409,7 +415,12 @@ def subdiagram_components(rs: RootSystem, nodes):
                     comp.add(other)
                     stack.append(other)
         remaining -= comp
-        comps.append(_match_component(comp, pair))
+        key = frozenset(comp)
+        match = cache.get(key)
+        if match is None:
+            ct, order = _match_component(comp, pair)
+            match = cache[key] = (ct, tuple(order))
+        comps.append((match[0], list(match[1])))
     comps.sort(key=lambda c: c[1])
     return comps
 

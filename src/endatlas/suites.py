@@ -183,7 +183,7 @@ def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TY
                                 f"{tag}: a diagram part moved a free-part class"
                             )
                             break
-        if not reduction_preserves_equivalence(d1, d2):
+        if not reduction_preserves_equivalence(d1, d2, plan):
             failures.append(f"{tag}: equivalence verdicts changed under reduction")
     return SuiteResult(
         name="reduction",

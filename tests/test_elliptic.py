@@ -430,3 +430,58 @@ def test_weight_one_pairs_give_the_normalized_principal_datum(ct):
             assert (ld.layers, ld.shape, ld.d, ld.u) == (wld.layers, wld.shape, wld.d, wld.u)
             checked += 1
     assert checked >= 1
+
+
+def _table_models(ct):
+    """The classification tables of the benchmark's ``tables`` workload on
+    one type: trivial, c2:inner, c2:outer where a flip exists, c3:inner
+    through rank 6, and on D4 also s3 and c3:outer."""
+    rs = build_root_system(ct)
+    specs = ["trivial", "c2:inner", "c2:outer"] + (["c3:inner"] if ct.rank <= 6 else [])
+    if str(ct) == "D4":
+        specs += ["s3", "c3:outer"]
+    models = []
+    for spec in specs:
+        try:
+            models.append(build_galois_model(spec, rs))
+        except InvalidInput:
+            continue  # the type has no such diagram automorphism
+    return rs, models
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_classified_data_are_the_public_pair_to_datum(ct):
+    """``classify_elliptic`` builds each representative's datum from the
+    actions of the enumeration; the validating public route gives the same
+    datum, layers, shape and order."""
+    rs, models = _table_models(ct)
+    for g in models:
+        for entry in classify_elliptic(rs, g).classes:
+            public = pair_to_datum(rs, g, entry.pair)
+            got, want = entry.datum.langlands, public.langlands
+            assert entry.datum.key() == public.key()
+            assert (got.layers, got.shape, got.d) == (want.layers, want.shape, want.d)
+            assert (entry.shape, entry.d) == (want.shape, want.d)
+
+
+def test_a_forged_pair_is_an_input_error_on_the_public_route(a2):
+    """A map that is not a cocycle, a union of two orbits and a part of an
+    orbit are all refused by ``pair_to_datum`` without ``actions``."""
+    from endatlas.galois import Cocycle
+    from endatlas.weyl import DiagramAut
+
+    g = build_galois_model("c2:inner", a2)
+    identity = DiagramAut.identity(a2.rank)
+    rotation = next(om.aut for om in omega_group(a2) if not om.aut.is_identity())
+    forged = Cocycle((identity, rotation))  # c(g)c(g) = rotation^2 is not c(e)
+    for orbit in (frozenset({0}), frozenset({0, 1, 2})):
+        with pytest.raises(InvalidInput, match="not a cocycle"):
+            pair_to_datum(a2, g, EllipticPair(cocycle=forged, orbit=orbit))
+    trivial = Cocycle((identity, identity))
+    with pytest.raises(InvalidInput, match="single orbit"):
+        pair_to_datum(a2, g, EllipticPair(cocycle=trivial, orbit=frozenset({0, 1})))
+    flip = build_galois_model("c2:outer", a2)
+    two = next(p for p in enumerate_pairs(a2, flip) if len(p.orbit) == 2)
+    part = EllipticPair(cocycle=two.cocycle, orbit=frozenset({min(two.orbit)}))
+    with pytest.raises(InvalidInput, match="single orbit"):
+        pair_to_datum(a2, flip, part)

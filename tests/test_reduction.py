@@ -160,3 +160,31 @@ def test_fixers_agree_on_rank_four_sampled():
     auts = enumerate_delta_automorphisms(rs)
     maps = [w * aut.lattice(rs) for w in sample for aut in auts]
     assert fixers_agree(rs, s_std, plan.t, maps)
+
+
+def test_the_reduction_suite_builds_each_trial_plan_once(monkeypatch):
+    """The plan depends on s alone, and the transporter of the equivalence
+    check fixes s, so that check reuses the trial's plan."""
+    from endatlas import reduction, suites
+
+    built = []
+
+    def counting(rs, s):
+        built.append(s)
+        return build_reduction_plan(rs, s)
+
+    monkeypatch.setattr(reduction, "build_reduction_plan", counting)
+    result = suites.reduction_suite(n_trials=12, seed=5)
+    assert result.ok, result.failures
+    assert 0 < len(built) <= 12
+
+
+def test_a_reused_plan_reduces_to_the_same_data(a2):
+    g = build_galois_model("c2:inner", a2)
+    s = TorusElement([F(1, 3), F(0)], [(F(1),), (F(0),)])
+    d = make_datum(a2, g, s, {})
+    r1, r2, plan = finite_order_reduction(d, d)
+    q1, q2, again = finite_order_reduction(d, d, plan)
+    assert again is plan
+    assert (q1.key(), q2.key()) == (r1.key(), r2.key())
+    assert reduction_preserves_equivalence(d, d, plan)

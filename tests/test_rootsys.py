@@ -1,13 +1,17 @@
 """Root system construction, marks, and subdiagram recognition."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endatlas._linalg import rank as q_rank
 from endatlas.errors import CapExceeded, InvalidInput
 from endatlas.rootsys import (
     ALL_TYPES_THROUGH_RANK_8,
     CartanType,
+    RootSystem,
     _positive_root_count,
     affine_diagram,
     build_root_system,
@@ -140,6 +144,38 @@ def test_subdiagram_recognizes_mixed_types():
 def test_subdiagram_rejects_dependent_sets(a2):
     with pytest.raises(InvalidInput, match="dependent"):
         subdiagram_components(a2, [0, 1, 2])
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_node_sets_are_dependent_exactly_when_they_are_all_nodes(ct):
+    """The exact rule of ``subdiagram_components`` against Gaussian
+    elimination: every subset of the affine nodes is independent unless it
+    is the whole set, which is refused."""
+    rs = build_root_system(ct)
+    nodes = rs.affine_nodes
+    for size in range(1, len(nodes) + 1):
+        for subset in combinations(nodes, size):
+            dependent = q_rank([rs.node_root(n) for n in subset]) < size
+            assert dependent == (size == len(nodes)), subset
+    with pytest.raises(InvalidInput, match="dependent"):
+        subdiagram_components(rs, nodes)
+    for left_out in nodes:
+        subdiagram_components(rs, [n for n in nodes if n != left_out])
+
+
+def test_subdiagram_memo_returns_fresh_lists():
+    """A second call on a fresh root system answers from the memo with an
+    equal result that the first caller's edits do not reach."""
+    rs = RootSystem([(CartanType("E", 7), 0)], _internal=True)
+    nodes = [0, 1, 2, 3, 5, 6, 7]
+    first = subdiagram_components(rs, nodes)
+    assert rs._components
+    second = subdiagram_components(rs, nodes)
+    assert first == second
+    want = [(ct, list(order)) for ct, order in second]
+    first[0][1].reverse()
+    first.append(None)
+    assert subdiagram_components(rs, nodes) == second == want
 
 
 def test_affine_diagram_bonds(c2):
