@@ -69,13 +69,20 @@ def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
     return sp
 
 
-def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
-    """All (cocycle, orbit) pairs: every cocycle, every single orbit it induces."""
-    pairs = []
+def _pairs_with_actions(rs: RootSystem, galois: GaloisModel):
+    """Every (pair, sigma') in pair order: sigma' is the list of composite
+    actions of the pair's cocycle, built once per cocycle and shared by its
+    pairs."""
+    out = []
     for c in enumerate_cocycles(galois, omega_group(rs)):
         sp = [c.sigma_prime(galois, a) for a in range(len(galois))]
-        pairs.extend(EllipticPair(cocycle=c, orbit=o) for o in _orbits(sp, rs.affine_nodes))
-    return sorted(pairs, key=EllipticPair.sort_key)
+        out.extend((EllipticPair(cocycle=c, orbit=o), sp) for o in _orbits(sp, rs.affine_nodes))
+    return sorted(out, key=lambda x: x[0].sort_key())
+
+
+def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
+    """All (cocycle, orbit) pairs: every cocycle, every single orbit it induces."""
+    return [pair for pair, _ in _pairs_with_actions(rs, galois)]
 
 
 def _orbit_torus(rs: RootSystem, pair: EllipticPair):
@@ -85,12 +92,6 @@ def _orbit_torus(rs: RootSystem, pair: EllipticPair):
     zeta = Fraction(1, d) if d > 1 else Fraction(0)
     torsion = tuple(zeta if (i + 1) in pair.orbit else Fraction(0) for i in range(rs.rank))
     return d, TorusElement._reduced(torsion, ((),) * rs.rank)
-
-
-def _pair_torus(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
-    """Validate a pair; return (d, s) with s of value zeta_d on the orbit, 1 off it."""
-    _validate_pair(rs, galois, pair)
-    return _orbit_torus(rs, pair)
 
 
 def pair_to_datum(
@@ -157,23 +158,15 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
     Each Omega element gives one row: the index of the image of every pair,
     om . (c, O) = (om sigma' om^{-1}, om(O)).  The conjugate om sigma' om^{-1}
     is computed once per cocycle and shared by its pairs.  An image outside
-    the pairs, or a row that is not a permutation, means ``enumerate_pairs``
-    is not Omega-stable.  The pairs are sorted, so each orbit's first member
+    the pairs, or a row that is not a permutation, means the enumeration is
+    not Omega-stable.  The pairs are sorted, so each orbit's first member
     is its least pair, the representative.  The shape and Out are read off
     it: an orbit of weight d = 1 is the principal datum (shape Delta, no Out),
     and otherwise Out is its stabilizer, the rows that fix it.  Each
     representative's datum is built by ``pair_to_datum`` from the composite
     actions of the enumeration, and checked as an ``EndoscopicDatum``."""
-    pairs = enumerate_pairs(rs, galois)
+    pairs, sps = zip(*_pairs_with_actions(rs, galois))
     n = len(galois)
-    # the composite actions of each cocycle, built once and shared by its pairs
-    built = {}
-    sps = []
-    for p in pairs:
-        ck = p.cocycle.key()
-        if ck not in built:
-            built[ck] = [p.cocycle.sigma_prime(galois, a) for a in range(n)]
-        sps.append(built[ck])
     keys = [tuple(a.perm for a in sp) for sp in sps]
     actions = dict(zip(keys, sps))
     index = {(key, p.orbit): i for i, (key, p) in enumerate(zip(keys, pairs))}
@@ -232,7 +225,8 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
         rep.ok = False
         rep.violations.append(msg)
 
-    d, s = _pair_torus(rs, galois, pair)
+    _validate_pair(rs, galois, pair)
+    d, s = _orbit_torus(rs, pair)
     dual_vecs = [rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit]
 
     # the centralizer root set is exactly the integer span of the dual nodes

@@ -179,10 +179,14 @@ def make_datum(rs: RootSystem, galois: GaloisModel, s: TorusElement, cocycle) ->
     family = []
     for a in range(len(galois)):
         composite = values[a] * galois.phi_lattice(a)
-        if torus_action(composite, s) != s:
-            raise InvalidInput("cocycle value does not fix s")
-        if not permutes_roots(rs, composite):
-            raise InvalidInput("cocycle value does not permute the roots")
+        fixes = carries(composite, s, s)
+        if not (fixes and permutes_roots(rs, composite)):
+            # a map that permutes the roots is unimodular; a singular or
+            # non-unimodular value is refused as such by its inverse
+            composite.inverse()
+            raise InvalidInput(
+                "cocycle value does not " + ("permute the roots" if fixes else "fix s")
+            )
         family.append(composite)
     return make_datum_from_family(rs, galois, s, family, validate=True)
 
@@ -379,14 +383,18 @@ def equivalent(d1: EndoscopicDatum, d2: EndoscopicDatum):
     return next((w for w in _transporters(r1, r2) if transport_datum(r1, w, r2.s) == r2), None)
 
 
-def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum, weyl_cap: int = 50000):
-    """Independent oracle: search all of W for a transporting element."""
+_BRUTEFORCE_WEYL_CAP = 50000
+
+
+def equivalent_bruteforce(d1: EndoscopicDatum, d2: EndoscopicDatum):
+    """Independent oracle: search all of W, up to ``_BRUTEFORCE_WEYL_CAP``
+    elements, for a transporting element."""
     if d1.rs is not d2.rs:
         raise InvalidInput("data live on different root systems")
     if not d1.galois.same_model(d2.galois):
         raise InvalidInput("data live over different Galois models")
     r1, r2 = raw_form(d1), raw_form(d2)
-    for w in enumerate_weyl(d1.rs, cap=weyl_cap):
+    for w in enumerate_weyl(d1.rs, cap=_BRUTEFORCE_WEYL_CAP):
         if carries(w, r1.s, r2.s) and transport_datum(r1, w, r2.s) == r2:
             return w
     return None

@@ -24,7 +24,6 @@ class LocalGlobalVerdict:
     datum2: EndoscopicDatum
     local: list  # (Place, witness or None)
     global_witness: object
-    consistent: bool
 
     @property
     def locally_equivalent_everywhere(self) -> bool:
@@ -34,21 +33,18 @@ class LocalGlobalVerdict:
     def globally_equivalent(self) -> bool:
         return self.global_witness is not None
 
+    @property
+    def consistent(self) -> bool:
+        """Local equivalence everywhere forces global equivalence."""
+        return self.globally_equivalent or not self.locally_equivalent_everywhere
+
 
 def check_local_global(d1: EndoscopicDatum, d2: EndoscopicDatum) -> LocalGlobalVerdict:
     """Localize at every place, compare, and check the local-global direction."""
     if not d1.galois.same_model(d2.galois):
         raise InvalidInput("data live over different Galois models")
-    local = []
-    for v in places(d1.galois):
-        w = equivalent(localize(d1, v), localize(d2, v))
-        local.append((v, w))
-    g = equivalent(d1, d2)
-    everywhere = all(w is not None for _, w in local)
-    consistent = (not everywhere) or (g is not None)
-    return LocalGlobalVerdict(
-        datum1=d1, datum2=d2, local=local, global_witness=g, consistent=consistent
-    )
+    local = [(v, equivalent(localize(d1, v), localize(d2, v))) for v in places(d1.galois)]
+    return LocalGlobalVerdict(datum1=d1, datum2=d2, local=local, global_witness=equivalent(d1, d2))
 
 
 @dataclass
@@ -56,7 +52,7 @@ class LocalGlobalReport:
     n_data: int
     n_pairs: int
     n_consistent: int
-    falsifiers: list = field(default_factory=list)
+    falsifiers: list = field(default_factory=list)  # the inconsistent verdicts
 
     @property
     def ok(self) -> bool:
@@ -68,20 +64,15 @@ def exhaustive_local_global(
 ) -> LocalGlobalReport:
     """Consistency of every pair from the bounded inventory."""
     inventory = brute_force_inventory(rs, galois, order_bound, cap=cap)
-    pairs = [
-        (inventory[i], inventory[j])
-        for i in range(len(inventory))
-        for j in range(i, len(inventory))
+    verdicts = [
+        check_local_global(a, b) for i, a in enumerate(inventory) for b in inventory[i:]
     ]
-    verdicts = [check_local_global(a, b) for a, b in pairs]
-    fals = [
-        (a, b, v) for (a, b), v in zip(pairs, verdicts) if not v.consistent
-    ]
+    falsifiers = [v for v in verdicts if not v.consistent]
     return LocalGlobalReport(
         n_data=len(inventory),
-        n_pairs=len(pairs),
-        n_consistent=sum(1 for v in verdicts if v.consistent),
-        falsifiers=fals,
+        n_pairs=len(verdicts),
+        n_consistent=len(verdicts) - len(falsifiers),
+        falsifiers=falsifiers,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from ._linalg import zspan_basis, zspan_contains
+from ._linalg import zspan_basis
 from .errors import InternalConsistencyError, InvalidInput
 from .galois import GaloisModel
 from .rootsys import RootSystem, product_root_system
@@ -86,12 +86,10 @@ def build_reduction_plan(rs: RootSystem, s: TorusElement) -> ReductionPlan:
     delta_fixed, delta_moved = [], []
     for i, r in enumerate(rs.simple_roots):
         (delta_fixed if r in sigma_m else delta_moved).append(i + 1)
-    # Levi standardness: Sigma^M must be the span of Delta^M inside Sigma
-    span_vecs = [rs.simple_roots[i - 1] for i in delta_fixed]
-    basis = zspan_basis(span_vecs)
-    span_m = {
-        r for r in rs.all_roots if basis and zspan_contains(basis, r)
-    } if span_vecs else set()
+    # Levi standardness: Sigma^M must be the span of Delta^M inside Sigma,
+    # which is the set of roots supported on Delta^M
+    off_m = [i - 1 for i in delta_moved]
+    span_m = {r for r in rs.all_roots if not any(r[i] for i in off_m)}
     if span_m != sigma_m:
         raise InternalConsistencyError(
             "the trivial-free-part roots are not a standard Levi; standardize first"
@@ -308,7 +306,8 @@ def make_induced_model(
     if len(inverse) != n:
         raise InvalidInput("an ambient element has no inverse")
     sub = set(emb)
-    # right cosets Gamma_1 \ Gamma, identity's coset first then by least element
+    # right cosets Gamma_1 \ Gamma by least element; the first, of x = 0, is the
+    # subgroup itself and holds table[0][0] = 0, so the identity leads
     cosets = []
     assigned = {}
     for x in range(n):
@@ -319,11 +318,6 @@ def make_induced_model(
             assigned[y] = len(cosets)
         cosets.append(coset)
     reps = [min(c) for c in cosets]
-    if reps[0] != 0:
-        order = sorted(range(len(reps)), key=lambda i: (reps[i] != 0, reps[i]))
-        cosets = [cosets[i] for i in order]
-        reps = [reps[i] for i in order]
-        assigned = {y: k for k, c in enumerate(cosets) for y in c}
     k = len(reps)
     rho = [reps[assigned[x]] for x in range(n)]
     rs = product_root_system([base_rs.type] * k)

@@ -203,14 +203,14 @@ TWO_ROUTE_CONFIGS = [
 def test_pair_to_datum_equals_the_normalized_raw_datum(type_name, spec):
     """The hand-built datum of every pair is the normalization of the raw
     datum on the same s and cocycle, in everything but u."""
-    from endatlas.elliptic import _pair_torus
+    from endatlas.elliptic import _orbit_torus
     from endatlas.endodata import make_datum
 
     rs = build_root_system(type_name)
     g = build_galois_model(spec, rs)
     for pair in enumerate_pairs(rs, g):
         built = pair_to_datum(rs, g, pair)
-        _, s = _pair_torus(rs, g, pair)
+        _, s = _orbit_torus(rs, pair)
         normed = langlands_normalize(make_datum(rs, g, s, pair.cocycle))[0]
         assert built.s == normed.s
         assert built.family == normed.family
@@ -401,9 +401,9 @@ def test_classify_refuses_pairs_that_are_not_omega_stable(monkeypatch, a2, edit)
     from endatlas import elliptic
 
     g = build_galois_model("c3:inner", a2)
-    pairs = enumerate_pairs(a2, g)
+    pairs = elliptic._pairs_with_actions(a2, g)
     edited = pairs[1:] if edit == "drop" else pairs + pairs[:1]
-    monkeypatch.setattr(elliptic, "enumerate_pairs", lambda rs, galois: list(edited))
+    monkeypatch.setattr(elliptic, "_pairs_with_actions", lambda rs, galois: list(edited))
     with pytest.raises(InternalConsistencyError):
         classify_elliptic(a2, g)
 
@@ -485,3 +485,28 @@ def test_a_forged_pair_is_an_input_error_on_the_public_route(a2):
     part = EllipticPair(cocycle=two.cocycle, orbit=frozenset({min(two.orbit)}))
     with pytest.raises(InvalidInput, match="single orbit"):
         pair_to_datum(a2, flip, part)
+
+
+@pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
+def test_default_order_bound_is_a_multiple_of_every_constructed_order(ct):
+    """The inventory grid (1/B)^rank holds the elements of order n exactly
+    when n divides B, so B is a multiple of every constructed order, at
+    least twice the largest, and twice the largest wherever that already
+    is such a multiple; over every preset model of the type."""
+    from endatlas.suites import default_order_bound
+
+    rs = build_root_system(ct)
+    checked = 0
+    for spec in ("trivial", "c2:inner", "c2:outer", "c3:inner", "c3:outer", "s3"):
+        try:
+            g = build_galois_model(spec, rs)
+        except InvalidInput:
+            continue  # the type has no such diagram automorphism
+        orders = {sum(rs.marks[i] for i in p.orbit) for p in enumerate_pairs(rs, g)}
+        bound = default_order_bound(rs, g)
+        assert all(bound % n == 0 for n in orders), (spec, orders, bound)
+        assert bound >= 2 * max(orders)
+        if all(2 * max(orders) % n == 0 for n in orders):
+            assert bound == 2 * max(orders)
+        checked += 1
+    assert checked >= 2

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
+from endatlas import localglobal
+from endatlas.elliptic import brute_force_inventory
 from endatlas.galois import build_galois_model, places
 from endatlas.rootsys import build_root_system
 from endatlas.endodata import principal_datum
@@ -10,6 +14,7 @@ from endatlas.localglobal import (
     counterexample_search,
     exhaustive_local_global,
 )
+from endatlas.suites import default_order_bound
 
 from conftest import a1_swap_datum, a2_rotation_data
 
@@ -90,3 +95,55 @@ def test_global_witness_restricts_to_local_witness(a2):
     assert v.globally_equivalent
     for pl, w in v.local:
         assert w is not None
+
+
+# the oracle-sweep configurations of endbench, plus D4/s3
+AGREEMENT_CONFIGS = [
+    ("A1", "trivial"), ("A1", "c2:inner"), ("A1", "c3:inner"),
+    ("A2", "trivial"), ("A2", "c2:inner"), ("A2", "c2:outer"), ("A2", "c3:inner"),
+    ("C2", "trivial"), ("C2", "c2:inner"), ("C2", "c3:inner"),
+    ("C3", "trivial"), ("C3", "c3:inner"),
+    ("G2", "trivial"), ("G2", "c2:inner"), ("G2", "c3:inner"),
+    ("D4", "s3"),
+]
+
+
+@pytest.mark.parametrize("type_name, spec", AGREEMENT_CONFIGS)
+def test_full_family_search_agrees_with_the_exhaustive_check(type_name, spec):
+    """With every place in the family, ``counterexample_search`` finds a
+    certificate exactly when ``exhaustive_local_global`` has a falsifier."""
+    rs = build_root_system(type_name)
+    g = build_galois_model(spec, rs)
+    bound = default_order_bound(rs, g)
+    report = exhaustive_local_global(rs, g, bound)
+    assert (counterexample_search(rs, g, places(g), bound) is None) == report.ok
+
+
+@pytest.mark.parametrize("type_name, spec", [("A2", "c3:inner"), ("C2", "c2:inner"), ("D4", "s3")])
+def test_both_routines_flag_the_same_pairs_when_places_are_blind(monkeypatch, type_name, spec):
+    """Every comparison over a proper subgroup is made to return a witness.
+    On a cyclic model Gamma is itself a place, so nothing is flagged; on S3
+    every place is proper, so every globally inequivalent pair is.  Pair by
+    pair, the full-family search certifies exactly the flagged pairs."""
+    rs = build_root_system(type_name)
+    g = build_galois_model(spec, rs)
+    bound = default_order_bound(rs, g)
+    inventory = brute_force_inventory(rs, g, bound)
+    real = localglobal.equivalent
+    monkeypatch.setattr(
+        localglobal, "equivalent",
+        lambda x, y: real(x, y) if len(x.galois) == len(g) else "witness",
+    )
+    flagged = [(v.datum1, v.datum2) for v in exhaustive_local_global(rs, g, bound).falsifiers]
+    inequivalent = [
+        (a, b) for i, a in enumerate(inventory) for b in inventory[i + 1:] if real(a, b) is None
+    ]
+    assert flagged == (inequivalent if spec == "s3" else [])
+    assert inequivalent
+    for i, a in enumerate(inventory):
+        for b in inventory[i + 1:]:
+            monkeypatch.setattr(localglobal, "brute_force_inventory", lambda *_, **__: [a, b])
+            cert = counterexample_search(rs, g, places(g), bound)
+            assert (cert is not None) == ((a, b) in flagged)
+            if cert is not None:
+                assert (cert.datum1, cert.datum2) == (a, b)
