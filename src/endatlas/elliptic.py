@@ -19,7 +19,7 @@ from itertools import product
 from ._linalg import integer_cone_order, vec_neg, zspan_basis, zspan_contains
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InternalConsistencyError, InvalidInput
 from .galois import Cocycle, GaloisModel, enumerate_cocycles
-from .rootsys import RootSystem, subdiagram_components, weyl_order
+from .rootsys import RootSystem, subdiagram_components, weyl_group_order
 from .torus import TorusElement
 from .weyl import (
     WeylElement,
@@ -70,14 +70,18 @@ def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
 
 
 def _pairs_with_actions(rs: RootSystem, galois: GaloisModel):
-    """Every (pair, sigma') in pair order: sigma' is the list of composite
+    """Every (pair, sigma') in pair order: sigma' is the tuple of composite
     actions of the pair's cocycle, built once per cocycle and shared by its
-    pairs."""
-    out = []
-    for c in enumerate_cocycles(galois, omega_group(rs)):
-        sp = [c.sigma_prime(galois, a) for a in range(len(galois))]
-        out.extend((EllipticPair(cocycle=c, orbit=o), sp) for o in _orbits(sp, rs.affine_nodes))
-    return sorted(out, key=lambda x: x[0].sort_key())
+    pairs.  The search runs once per model and root system."""
+
+    def build():
+        out = []
+        for c in enumerate_cocycles(galois, omega_group(rs)):
+            sp = tuple(c.sigma_prime(galois, a) for a in range(len(galois)))
+            out.extend((EllipticPair(cocycle=c, orbit=o), sp) for o in _orbits(sp, rs.affine_nodes))
+        return tuple(sorted(out, key=lambda x: x[0].sort_key()))
+
+    return rs.memo("pairs", galois.key(), build)
 
 
 def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
@@ -279,10 +283,7 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
 
 
 def _work_estimate(rs: RootSystem, galois: GaloisModel, order_bound: int) -> int:
-    w = 1
-    for ct, _ in rs.components:
-        w *= weyl_order(ct)
-    return max(w * len(galois), order_bound**rs.rank)
+    return max(weyl_group_order(rs) * len(galois), order_bound**rs.rank)
 
 
 def _canonical_s_reps(rs: RootSystem, order_bound: int):
@@ -349,13 +350,10 @@ def brute_force_inventory(
             f"inventory cost estimate {cost} exceeds the cap {cap}; "
             f"raise the cap to force the attempt"
         )
-    cache = getattr(rs, "_inventory_cache", None)
-    if cache is None:
-        cache = rs._inventory_cache = {}
     key = (galois.key(), order_bound)
-    if key not in cache:
-        cache[key] = tuple(_build_inventory(rs, galois, order_bound, cap))
-    return list(cache[key])
+    return list(rs.memo(
+        "inventory", key, lambda: tuple(_build_inventory(rs, galois, order_bound, cap))
+    ))
 
 
 def _build_inventory(rs: RootSystem, galois: GaloisModel, order_bound: int, cap: int):

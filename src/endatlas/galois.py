@@ -83,10 +83,6 @@ class GaloisModel:
     def phi_lattice(self, a: int):
         return self.action[a].lattice(self.rs)
 
-    def kernel(self):
-        """Indices acting trivially on the diagram (the model's Gamma_E)."""
-        return [a for a in range(len(self)) if self.action[a].is_identity()]
-
     def words(self):
         """Generators and one word in them per element: ``(gens, word)``.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from ._linalg import dot, vec_neg, vec_sub
 from .errors import DEFAULT_WORK_CAP, CapExceeded, InvalidInput
@@ -126,12 +126,22 @@ def root_sum(roots, rank):
     return tuple(sum(r[i] for r in roots) for i in range(rank))
 
 
+# the memos ``RootSystem.memo`` keeps, each a dict from key to value
+_MEMOS = (
+    "affine_pairing", "components",  # rootsys
+    "node_lattices", "simple_reflections", "alcove_walls", "alcove_omega",  # weyl
+    "weyl_members", "affine_auts", "omega", "weyl",  # weyl
+    "pairs", "inventory",  # elliptic
+)
+
+
 class RootSystem:
     """Immutable root system; construct via build_root_system or product_root_system."""
 
     def __init__(self, components, _internal=False):
         if not _internal:
             raise InvalidInput("use build_root_system() or product_root_system()")
+        self._memos = {name: {} for name in _MEMOS}
         self.components = tuple(components)  # tuple of (CartanType, offset)
         self.type = self.components[0][0] if len(self.components) == 1 else None
         self.is_simple = self.type is not None
@@ -163,6 +173,16 @@ class RootSystem:
         self.rho = root_sum(self.positives, n)
         if self.is_simple:
             self._init_affine()
+
+    def memo(self, name, key, build):
+        """The value of ``build()`` for ``key`` in the memo ``name``: built on
+        the first request and kept as long as the root system.  Values are
+        immutable (tuples, lattice maps, verdicts), so callers share the
+        stored value itself; a build that raises stores nothing."""
+        table = self._memos[name]
+        if key not in table:
+            table[key] = build()
+        return table[key]
 
     # -- generation ---------------------------------------------------------
 
@@ -240,12 +260,12 @@ class RootSystem:
     @property
     def affine_pairing(self):
         self._require_simple()
-        if not hasattr(self, "_affine_pairing"):
+
+        def build():
             vecs = [self.node_root(i) for i in self.affine_nodes]
-            self._affine_pairing = tuple(
-                tuple(self.pairing(a, b) for b in vecs) for a in vecs
-            )
-        return self._affine_pairing
+            return tuple(tuple(self.pairing(a, b) for b in vecs) for a in vecs)
+
+        return self.memo("affine_pairing", None, build)
 
     def _require_simple(self):
         if not self.is_simple:
@@ -366,7 +386,8 @@ def diagram_isomorphisms(pattern, pair, nodes):
 
 
 def _match_component(nodes, pair):
-    """Recognize one connected labeled component; return (CartanType, ordered nodes).
+    """Recognize one connected labeled component; return (CartanType, ordered
+    node tuple).
 
     Takes the first admissible type of the right size whose Cartan matrix the
     pairing matches, with the lexicographically least matching node sequence;
@@ -376,7 +397,7 @@ def _match_component(nodes, pair):
     for ct in _candidate_types(len(nodes)):
         first = next(diagram_isomorphisms(cartan_matrix(ct), pair, nodes), None)
         if first is not None:
-            return ct, list(first)
+            return ct, first
     raise InvalidInput("subdiagram component is not of finite Cartan type")
 
 
@@ -389,7 +410,7 @@ def subdiagram_components(rs: RootSystem, nodes):
     positive, so a node set is dependent exactly when it is all of them;
     that set is an ``InvalidInput``.  Returns [(CartanType, [node indices in
     Bourbaki order])], sorted.  Each connected node set is recognized once
-    per root system (``rs._components``); the lists returned are fresh.
+    per root system (the memo ``components``); the lists returned are fresh.
     """
     rs._require_simple()
     nodes = sorted(set(nodes))
@@ -398,9 +419,6 @@ def subdiagram_components(rs: RootSystem, nodes):
             raise InvalidInput(f"unknown affine node {n}")
     if len(nodes) == len(rs.affine_nodes):
         raise InvalidInput("node set is linearly dependent as roots")
-    cache = getattr(rs, "_components", None)
-    if cache is None:
-        cache = rs._components = {}
     pair = rs.affine_pairing
     remaining = set(nodes)
     comps = []
@@ -415,12 +433,8 @@ def subdiagram_components(rs: RootSystem, nodes):
                     comp.add(other)
                     stack.append(other)
         remaining -= comp
-        key = frozenset(comp)
-        match = cache.get(key)
-        if match is None:
-            ct, order = _match_component(comp, pair)
-            match = cache[key] = (ct, tuple(order))
-        comps.append((match[0], list(match[1])))
+        ct, order = rs.memo("components", frozenset(comp), lambda: _match_component(comp, pair))
+        comps.append((ct, list(order)))
     comps.sort(key=lambda c: c[1])
     return comps
 
@@ -439,6 +453,11 @@ def weyl_order(ct: CartanType) -> int:
     if ct.family == "F":
         return 1152
     return 12
+
+
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W|, the product of the Weyl group orders of the components."""
+    return prod(weyl_order(ct) for ct, _ in rs.components)
 
 
 def _positive_root_count(ct: CartanType) -> int:

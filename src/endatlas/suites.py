@@ -196,22 +196,16 @@ def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TY
 # -- shapiro suite -------------------------------------------------------------------
 
 
-def _z_table(n):
-    return [f"z{k}" if k else "e" for k in range(n)], [
-        [(i + j) % n for j in range(n)] for i in range(n)
-    ]
-
-
 def shapiro_configurations(base_types=("A1", "A2")):
     """The (ambient, subgroup, base action) battery for the transfer checks."""
-    from .galois import _S3_NAMES, _s3_table
+    from .galois import _S3_NAMES, _cyclic, _s3_table
 
     configs = []
     for t in base_types:
         rs = build_root_system(t)
         flips = [a for a in enumerate_delta_automorphisms(rs) if not a.is_identity()]
-        z2n, z2t = _z_table(2)
-        z4n, z4t = _z_table(4)
+        z2n, z2t = _cyclic(2)
+        z4n, z4t = _cyclic(4)
         s3t = _s3_table()
         # Z/2 with the trivial subgroup
         configs.append((t, "trivial", z2n, z2t, [0]))

@@ -9,10 +9,11 @@ VI.1): every chamber descent reflects rho_P alone, in the integer invariant
 form ``rs.form``, and never maps a root set.  Omega has one construction,
 ``alcove_omega``; ``omega_group`` reads the node permutations off it.
 
-Work that depends on the root system alone is kept on it, built once: the
-reflections (``_reflection``), the alcove walls and Omega_J per J, the
-lattice map of each node permutation (``DiagramAut.lattice``, whose inverse
-then persists with it), and the verdict of ``weyl_part_if_member`` per map.
+Work that depends on the root system alone is kept on it, built once
+(``RootSystem.memo``): the simple reflections, W itself, Omega, the diagram
+automorphisms, the alcove walls and Omega_J per J, the lattice map of each
+node permutation (``DiagramAut.lattice``, whose inverse then persists with
+it), and the verdict of ``weyl_part_if_member`` per map.
 
 ``torus_action`` computes w.s, inverting w once.  Every test of w.s = t goes
 through ``carries`` instead, which reads the images of w directly and
@@ -27,7 +28,7 @@ from math import lcm
 
 from ._linalg import dot, integer_gauss_jordan, span_functionals, vec_neg
 from .errors import CapExceeded, InternalConsistencyError, InvalidInput
-from .rootsys import RootSystem, diagram_isomorphisms, root_sum
+from .rootsys import RootSystem, diagram_isomorphisms, root_sum, weyl_group_order
 from .torus import TorusElement
 
 
@@ -118,20 +119,17 @@ class DiagramAut:
         """The induced lattice map (consistent on node 0 via the marks relation),
         built and checked once per permutation and root system, so its inverse
         is computed once too."""
-        cache = getattr(rs, "_node_lattices", None)
-        if cache is None:
-            cache = rs._node_lattices = {}
-        out = cache.get(self.perm)
-        if out is None:
+
+        def build():
             if not rs.is_simple:
                 # product systems have no affine node; the perm fixes slot 0
-                out = WeylElement(tuple(rs.simple_roots[self.perm[i + 1] - 1] for i in range(rs.rank)))
-            else:
-                out = WeylElement(tuple(rs.node_root(self.perm[i + 1]) for i in range(rs.rank)))
-                if out(rs.lowest_root) != rs.node_root(self.perm[0]):
-                    raise InternalConsistencyError("node permutation breaks the marks relation")
-            cache[self.perm] = out
-        return out
+                return WeylElement(tuple(rs.simple_roots[self.perm[i + 1] - 1] for i in range(rs.rank)))
+            out = WeylElement(tuple(rs.node_root(self.perm[i + 1]) for i in range(rs.rank)))
+            if out(rs.lowest_root) != rs.node_root(self.perm[0]):
+                raise InternalConsistencyError("node permutation breaks the marks relation")
+            return out
+
+        return rs.memo("node_lattices", self.perm, build)
 
 
 @dataclass(frozen=True)
@@ -145,20 +143,11 @@ class OmegaElement:
         return self.aut(node)
 
 
-def _reflection(rs: RootSystem, root) -> WeylElement:
-    """The reflection in a root as a lattice map, built once per root."""
-    cache = getattr(rs, "_reflections", None)
-    if cache is None:
-        cache = rs._reflections = {}
-    w = cache.get(root)
-    if w is None:
-        w = cache[root] = WeylElement(tuple(rs.reflect(root, a) for a in rs.simple_roots))
-    return w
-
-
 def simple_reflections(rs: RootSystem):
     """The simple reflections s_1..s_n as lattice maps."""
-    return tuple(_reflection(rs, a) for a in rs.simple_roots)
+    return rs.memo("simple_reflections", None, lambda: tuple(
+        WeylElement(tuple(rs.reflect(root, a) for a in rs.simple_roots)) for root in rs.simple_roots
+    ))
 
 
 # -- bases and chamber descent ------------------------------------------------
@@ -258,10 +247,8 @@ def _alcove_walls(rs: RootSystem, J):
     """For simple-root indices J: the highest root theta_c of each component
     c of J with its pairings <alpha_i, theta_c^vee>, and a bound on descent
     steps.  Cached per J."""
-    cache = getattr(rs, "_alcove_walls", None)
-    if cache is None:
-        cache = rs._alcove_walls = {}
-    if J not in cache:
+
+    def build():
         pos_j, walls = _parabolic_positives(rs, J), []
         for i in J:
             if any(t[i] for t, _ in walls):
@@ -270,8 +257,9 @@ def _alcove_walls(rs: RootSystem, J):
             theta = max((r for r in pos_j if r[i]), key=sum)
             walls.append((theta, tuple(rs.pairing(a, theta) for a in rs.simple_roots)))
         # each step crosses one hyperplane beta = k between the lift and the alcove
-        cache[J] = (tuple(walls), sum(map(sum, rs.positives)) + 1)
-    return cache[J]
+        return tuple(walls), sum(map(sum, rs.positives)) + 1
+
+    return rs.memo("alcove_walls", J, build)
 
 
 def alcove_omega(rs: RootSystem, a: TorusElement):
@@ -279,10 +267,8 @@ def alcove_omega(rs: RootSystem, a: TorusElement):
     the products over the components c of J of {1} and w0(J_c minus j).w0(J_c)
     over the mark-1 nodes j of theta_c, identity first.  Cached per J."""
     J = tuple(i for i, f in enumerate(a.free) if not any(f))
-    cache = getattr(rs, "_alcove_omega", None)
-    if cache is None:
-        cache = rs._alcove_omega = {}
-    if J not in cache:
+
+    def build():
         one = WeylElement.identity(rs.rank)
         omega = [one]
         for theta, _ in _alcove_walls(rs, J)[0]:
@@ -292,8 +278,9 @@ def alcove_omega(rs: RootSystem, a: TorusElement):
             omega = [w * v for w in omega for v in [one] + [
                 _longest_element(rs, [k for k in comp if k != j]) * top for j in ones
             ]]
-        cache[J] = tuple(omega)
-    return cache[J]
+        return tuple(omega)
+
+    return rs.memo("alcove_omega", J, build)
 
 
 def alcove_form(rs: RootSystem, s: TorusElement):
@@ -406,14 +393,12 @@ def weyl_membership(rs: RootSystem, lattice_map: WeylElement):
 def weyl_part_if_member(rs: RootSystem, lattice_map: WeylElement):
     """The map itself when it lies in W, else None (works for product systems).
     The verdict is decided once per map and root system."""
-    cache = getattr(rs, "_weyl_members", None)
-    if cache is None:
-        cache = rs._weyl_members = {}
-    member = cache.get(lattice_map.images)
-    if member is None:
+
+    def build():
         w = _descent_of(rs, lattice_map)
-        member = cache[lattice_map.images] = w is not None and (w * lattice_map).is_identity()
-    return lattice_map if member else None
+        return w is not None and (w * lattice_map).is_identity()
+
+    return lattice_map if rs.memo("weyl_members", lattice_map.images, build) else None
 
 
 # -- diagram automorphisms and Omega ------------------------------------------
@@ -423,17 +408,17 @@ def enumerate_affine_automorphisms(rs: RootSystem):
     """All permutations of the affine nodes preserving the pairing matrix, in
     lexicographic order."""
     rs._require_simple()
-    cached = getattr(rs, "_affine_auts", None)
-    if cached is not None:
-        return cached
-    pair = rs.affine_pairing
-    results = [DiagramAut(f) for f in diagram_isomorphisms(pair, pair, rs.affine_nodes)]
-    for aut in results:
-        for i in rs.affine_nodes:
-            if rs.marks[aut(i)] != rs.marks[i]:
-                raise InternalConsistencyError("diagram automorphism broke the marks")
-    rs._affine_auts = results
-    return results
+
+    def build():
+        pair = rs.affine_pairing
+        results = tuple(DiagramAut(f) for f in diagram_isomorphisms(pair, pair, rs.affine_nodes))
+        for aut in results:
+            for i in rs.affine_nodes:
+                if rs.marks[aut(i)] != rs.marks[i]:
+                    raise InternalConsistencyError("diagram automorphism broke the marks")
+        return results
+
+    return rs.memo("affine_auts", None, build)
 
 
 def enumerate_delta_automorphisms(rs: RootSystem):
@@ -448,35 +433,32 @@ def omega_group(rs: RootSystem):
     mark-1 bijection, and Omega abelian and normal in Aut(completed diagram).
     """
     rs._require_simple()
-    cached = getattr(rs, "_omega_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    for w in alcove_omega(rs, TorusElement.identity(rs.rank)):
-        perm = tuple(rs.node_of_root(w(rs.node_root(i))) for i in rs.affine_nodes)
-        if None in perm:
-            raise InternalConsistencyError("an Omega element does not permute the affine nodes")
-        out.append(OmegaElement(aut=DiagramAut(perm), weyl=w))
-    mark_one = [i for i in rs.affine_nodes if rs.marks[i] == 1]
-    images = sorted(om.aut(0) for om in out)
-    if images != sorted(mark_one):
-        raise InternalConsistencyError(
-            "Omega is not in bijection with the mark-1 nodes"
-        )
-    # abelian, and stable under conjugation inside Aut(completed diagram)
-    perms = {om.aut.perm for om in out}
-    for a in out:
-        for b in out:
-            if a.aut.compose(b.aut).perm != b.aut.compose(a.aut).perm:
-                raise InternalConsistencyError("Omega is not abelian")
-    for t in enumerate_affine_automorphisms(rs):
-        tinv = t.inverse()
-        for om in out:
-            if t.compose(om.aut).compose(tinv).perm not in perms:
-                raise InternalConsistencyError("Omega is not normal in Aut")
-    out = sorted(out, key=lambda om: om.aut.perm)
-    rs._omega_cache = out
-    return out
+
+    def build():
+        out = []
+        for w in alcove_omega(rs, TorusElement.identity(rs.rank)):
+            perm = tuple(rs.node_of_root(w(rs.node_root(i))) for i in rs.affine_nodes)
+            if None in perm:
+                raise InternalConsistencyError("an Omega element does not permute the affine nodes")
+            out.append(OmegaElement(aut=DiagramAut(perm), weyl=w))
+        mark_one = [i for i in rs.affine_nodes if rs.marks[i] == 1]
+        images = sorted(om.aut(0) for om in out)
+        if images != sorted(mark_one):
+            raise InternalConsistencyError("Omega is not in bijection with the mark-1 nodes")
+        # abelian, and stable under conjugation inside Aut(completed diagram)
+        perms = {om.aut.perm for om in out}
+        for a in out:
+            for b in out:
+                if a.aut.compose(b.aut).perm != b.aut.compose(a.aut).perm:
+                    raise InternalConsistencyError("Omega is not abelian")
+        for t in enumerate_affine_automorphisms(rs):
+            tinv = t.inverse()
+            for om in out:
+                if t.compose(om.aut).compose(tinv).perm not in perms:
+                    raise InternalConsistencyError("Omega is not normal in Aut")
+        return tuple(sorted(out, key=lambda om: om.aut.perm))
+
+    return rs.memo("omega", None, build)
 
 
 def omega_by_node(rs: RootSystem):
@@ -485,27 +467,30 @@ def omega_by_node(rs: RootSystem):
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = 2_000_000):
-    """Every element of W as a lattice map, by closure over simple reflections."""
-    cached = getattr(rs, "_weyl_cache", None)
-    if cached is not None and len(cached) <= cap:
-        return cached
-    gens = simple_reflections(rs)
-    seen = {WeylElement.identity(rs.rank)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                h = g * w
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"Weyl group larger than cap {cap}")
-        frontier = nxt
-    out = sorted(seen, key=lambda w: w.images)
-    rs._weyl_cache = out
-    return out
+    """Every element of W as a lattice map, sorted by images, by closure over
+    simple reflections.  When |W| exceeds ``cap`` it raises before building."""
+    order = weyl_group_order(rs)
+    if order > cap:
+        raise CapExceeded(f"Weyl group larger than cap {cap}")
+
+    def build():
+        gens = simple_reflections(rs)
+        seen = {WeylElement.identity(rs.rank)}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for g in gens:
+                    h = g * w
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
+        if len(seen) != order:
+            raise InternalConsistencyError(f"the closure has {len(seen)} elements, not |W| = {order}")
+        return tuple(sorted(seen, key=lambda w: w.images))
+
+    return rs.memo("weyl", None, build)
 
 
 # -- torus action --------------------------------------------------------------

@@ -340,7 +340,7 @@ def set_descent(rs, pos, target_base, target_pos):
     """The element v of a subsystem's Weyl group with v(pos) = target_pos, by
     mapping the whole positive set through each reflection in the first
     target simple root that is negative for it."""
-    from endatlas.weyl import WeylElement, _reflection
+    from endatlas.weyl import WeylElement
 
     pos = set(pos)
     order = sorted(target_base)
@@ -349,7 +349,7 @@ def set_descent(rs, pos, target_base, target_pos):
         if pos == set(target_pos):
             return v
         t = next(t for t in order if tuple(-x for x in t) in pos)
-        s_t = _reflection(rs, t)
+        s_t = WeylElement(tuple(rs.reflect(t, a) for a in rs.simple_roots))
         pos = {s_t(r) for r in pos}
         v = s_t * v
     raise AssertionError("descent failed to terminate")

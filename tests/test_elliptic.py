@@ -408,6 +408,27 @@ def test_classify_refuses_pairs_that_are_not_omega_stable(monkeypatch, a2, edit)
         classify_elliptic(a2, g)
 
 
+def test_one_cocycle_search_per_root_system_and_model(monkeypatch):
+    """The order bound, the classification and the pair list of one
+    A2/c3:inner bijection run share one search, also across model objects."""
+    from endatlas import elliptic
+    from endatlas.rootsys import CartanType, RootSystem
+    from endatlas.suites import default_order_bound
+
+    calls, search = [], elliptic.enumerate_cocycles
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(elliptic, "enumerate_cocycles", counting)
+    rs = RootSystem([(CartanType("A", 2), 0)], _internal=True)
+    default_order_bound(rs, build_galois_model("c3:inner", rs))
+    classify_elliptic(rs, build_galois_model("c3:inner", rs))
+    enumerate_pairs(rs, build_galois_model("c3:inner", rs))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("ct", ALL_TYPES_THROUGH_RANK_8, ids=str)
 def test_weight_one_pairs_give_the_normalized_principal_datum(ct):
     """At d = 1, s = 1 and ``pair_to_datum`` builds the principal datum

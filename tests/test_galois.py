@@ -41,7 +41,7 @@ def test_huge_cyclic_preset_raises_before_building(a1, monkeypatch):
 def test_c2_outer_on_a2(a2):
     m = build_galois_model("c2:outer", a2)
     assert m.action[1].perm == (0, 2, 1)
-    assert m.kernel() == [0]
+    assert [a for a in range(len(m)) if m.action[a].is_identity()] == [0]
 
 
 def test_c2_outer_rejected_without_flip():

@@ -169,13 +169,53 @@ def test_subdiagram_memo_returns_fresh_lists():
     rs = RootSystem([(CartanType("E", 7), 0)], _internal=True)
     nodes = [0, 1, 2, 3, 5, 6, 7]
     first = subdiagram_components(rs, nodes)
-    assert rs._components
+    assert rs._memos["components"]
     second = subdiagram_components(rs, nodes)
     assert first == second
     want = [(ct, list(order)) for ct, order in second]
     first[0][1].reverse()
     first.append(None)
     assert subdiagram_components(rs, nodes) == second == want
+
+
+def test_memo_builds_once_and_stores_nothing_when_the_build_raises():
+    rs = RootSystem([(CartanType("A", 2), 0)], _internal=True)
+    calls = []
+
+    def build():
+        calls.append(1)
+        if len(calls) == 1:
+            raise InvalidInput("first build fails")
+        return (len(calls),)
+
+    with pytest.raises(InvalidInput):
+        rs.memo("components", "k", build)
+    assert "k" not in rs._memos["components"]
+    value = rs.memo("components", "k", build)
+    assert value == (2,) and rs.memo("components", "k", build) is value and len(calls) == 2
+    with pytest.raises(KeyError):
+        rs.memo("no such memo", "k", build)
+
+
+def _mutable_inside(value):
+    if isinstance(value, (list, dict, set, bytearray)):
+        return True
+    return isinstance(value, tuple) and any(map(_mutable_inside, value))
+
+
+def test_every_memo_holds_immutable_values():
+    """After a classification and an inventory on a fresh root system, no
+    stored value is or holds (through tuples) a list, dict or set."""
+    from endatlas.elliptic import brute_force_inventory, classify_elliptic
+    from endatlas.galois import build_galois_model
+
+    rs = RootSystem([(CartanType("A", 2), 0)], _internal=True)
+    g = build_galois_model("c3:inner", rs)
+    classify_elliptic(rs, g)
+    brute_force_inventory(rs, g, 6)
+    assert all(rs._memos.values())
+    for name, table in rs._memos.items():
+        assert not any(map(_mutable_inside, table.values())), name
 
 
 def test_affine_diagram_bonds(c2):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from endatlas.errors import InvalidInput
-from endatlas.galois import _S3_NAMES, _s3_table, build_galois_model
+from endatlas.galois import _S3_NAMES, _cyclic, _s3_table, build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import enumerate_weyl
@@ -30,7 +30,7 @@ from endatlas.reduction import (
     shapiro_descend,
     shapiro_induce,
 )
-from endatlas.suites import _z_table, shapiro_configurations, shapiro_suite, _base_data_for
+from endatlas.suites import shapiro_configurations, shapiro_suite, _base_data_for
 
 from conftest import omega_sending_zero_to, out_group
 
@@ -80,7 +80,7 @@ def test_normalizing_a_product_datum_is_an_input_error(a1):
     """The Langlands normalization is defined for simple types only; an
     induced datum on A1 x A1 is refused rather than normalized."""
     base = build_galois_model("c2:inner", a1)
-    model = make_induced_model(base, *_z_table(4), [0, 2])
+    model = make_induced_model(base, *_cyclic(4), [0, 2])
     x = make_datum(a1, base, TorusElement([F(1, 2)]), {})
     y = shapiro_induce(x, model)
     with pytest.raises(InvalidInput, match="simple"):

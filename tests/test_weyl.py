@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endatlas.errors import InvalidInput
+from endatlas.errors import CapExceeded, InvalidInput
 from endatlas.rootsys import (
     ALL_TYPES_THROUGH_RANK_8,
     CartanType,
@@ -15,6 +15,7 @@ from endatlas.rootsys import (
     build_root_system,
     product_root_system,
     root_sum,
+    weyl_group_order,
 )
 from endatlas.torus import TorusElement
 from endatlas.weyl import (
@@ -657,7 +658,7 @@ def test_memoized_membership_matches_the_uncached_descent(types):
         w = _descent_of(rs, f)
         member = w is not None and (w * f).is_identity()
         assert weyl_part_if_member(rs, f) is (f if member else None)
-    assert len(rs._weyl_members) == len({f.images for f in maps})
+    assert len(rs._memos["weyl_members"]) == len({f.images for f in maps})
 
 
 @pytest.mark.parametrize("name", ["A2", "C2", "D4", "E6"])
@@ -678,4 +679,40 @@ def test_a_node_permutation_off_the_marks_fails_on_every_call():
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="marks relation"):
             DiagramAut((1, 0, 2)).lattice(rs)
-    assert not rs._node_lattices
+    assert not rs._memos["node_lattices"]
+
+
+@pytest.mark.parametrize(
+    "types, warm", [(("D5",), True), (("D5",), False), (("A1", "A2"), False)],
+    ids=["D5-warm", "D5-cold", "A1xA2-cold"],
+)
+def test_weyl_group_over_the_cap_raises_before_building(monkeypatch, types, warm):
+    """|W| is known from the types, so a cap below it raises at once, with
+    the group held or not; a cap of |W| answers with the held group."""
+    from endatlas import weyl
+
+    rs = _fresh([CartanType.parse(t) for t in types])
+    if warm:
+        enumerate_weyl(rs)
+    order = weyl_group_order(rs)
+
+    def fail(rs):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(weyl, "simple_reflections", fail)
+    with pytest.raises(CapExceeded, match=f"Weyl group larger than cap {order - 1}"):
+        enumerate_weyl(rs, cap=order - 1)
+    monkeypatch.undo()
+    group = enumerate_weyl(rs, cap=order)
+    assert len(group) == order
+    assert enumerate_weyl(rs) is group is rs._memos["weyl"][None]
+
+
+@pytest.mark.parametrize("name", ["A2", "D4"])
+def test_memoized_groups_are_tuples_shared_by_every_caller(name):
+    rs = _fresh((CartanType.parse(name),))
+    for fn in (enumerate_weyl, omega_group, enumerate_affine_automorphisms):
+        first = fn(rs)
+        assert type(first) is tuple and fn(rs) is first
+    assert [om.aut.perm for om in omega_group(rs)] == sorted(om.aut.perm for om in omega_group(rs))
+    assert list(enumerate_weyl(rs)) == sorted(enumerate_weyl(rs), key=lambda w: w.images)
