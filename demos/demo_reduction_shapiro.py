@@ -33,9 +33,10 @@ print(dumps(plan_to_dict(plan)))
 print("-- restriction of scalars --")
 rs2 = build_root_system("A2")
 base = build_galois_model("c3:inner", rs2)
-from endatlas.galois import _S3_NAMES, _s3_table
+from endatlas.galois import _s3
 
-model = make_induced_model(base, list(_S3_NAMES), _s3_table(), [0, 1, 2])
+s3_names, s3_table, _ = _s3()
+model = make_induced_model(base, s3_names, s3_table, [0, 1, 2])
 print(f"base: A2 over Z/3; induced: {model.rs} over S3 with {model.degree} cosets")
 x = make_datum(rs2, base, TorusElement([F(1, 3), F(1, 3)]), {})
 y = shapiro_induce(x, model)

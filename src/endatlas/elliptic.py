@@ -57,18 +57,6 @@ class EllipticPair:
         return (self.cocycle.key(), tuple(sorted(self.orbit)))
 
 
-def _validate_pair(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
-    """Check that a pair is a cocycle with a single orbit; return its
-    composite actions."""
-    n = len(galois)
-    sp = [pair.cocycle.sigma_prime(galois, a) for a in range(n)]
-    if not galois.is_homomorphism(sp):
-        raise InvalidInput("pair cocycle is not a cocycle")
-    if pair.orbit not in _orbits(sp, rs.affine_nodes):
-        raise InvalidInput("orbit is not a single orbit of the composite action")
-    return sp
-
-
 def _pairs_with_actions(rs: RootSystem, galois: GaloisModel):
     """Every (pair, sigma') in pair order: sigma' is the tuple of composite
     actions of the pair's cocycle, built once per cocycle and shared by its
@@ -82,6 +70,21 @@ def _pairs_with_actions(rs: RootSystem, galois: GaloisModel):
         return tuple(sorted(out, key=lambda x: x[0].sort_key()))
 
     return rs.memo("pairs", galois.key(), build)
+
+
+def _pair_actions(rs: RootSystem, galois: GaloisModel, pair: EllipticPair):
+    """The composite actions sigma' of the pair's cocycle, read from the
+    enumeration; a pair it does not list is an input error."""
+    sp, orbits = None, []
+    for p, actions in _pairs_with_actions(rs, galois):
+        if p.cocycle == pair.cocycle:
+            sp = actions
+            orbits.append(p.orbit)
+    if sp is None:
+        raise InvalidInput("pair cocycle is not a cocycle of the model with values in Omega")
+    if pair.orbit not in orbits:
+        raise InvalidInput("orbit is not a single orbit of the composite action")
+    return sp
 
 
 def enumerate_pairs(rs: RootSystem, galois: GaloisModel):
@@ -98,18 +101,12 @@ def _orbit_torus(rs: RootSystem, pair: EllipticPair):
     return d, TorusElement._reduced(torsion, ((),) * rs.rank)
 
 
-def pair_to_datum(
-    rs: RootSystem, galois: GaloisModel, pair: EllipticPair, actions=None
-) -> EndoscopicDatum:
+def pair_to_datum(rs: RootSystem, galois: GaloisModel, pair: EllipticPair) -> EndoscopicDatum:
     """The elliptic datum of a pair: s has value zeta_d on the orbit, 1 off it.
 
-    ``actions`` are the pair's composite actions sigma'(a), one per element of
-    Gamma, as ``classify_elliptic`` holds them from the enumeration: the pair
-    is then a cocycle with a single orbit by construction and is not checked
-    again.  Without them the pair is validated, so a forged pair is an
-    ``InvalidInput``.  The constructed datum is checked either way."""
-    if actions is None:
-        actions = _validate_pair(rs, galois, pair)
+    The composite actions sigma' are read from the enumeration, so a forged
+    pair is an ``InvalidInput``.  The constructed datum is checked."""
+    actions = _pair_actions(rs, galois, pair)
     d, s = _orbit_torus(rs, pair)
     n = len(galois)
     if d == 1:
@@ -167,8 +164,8 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
     is its least pair, the representative.  The shape and Out are read off
     it: an orbit of weight d = 1 is the principal datum (shape Delta, no Out),
     and otherwise Out is its stabilizer, the rows that fix it.  Each
-    representative's datum is built by ``pair_to_datum`` from the composite
-    actions of the enumeration, and checked as an ``EndoscopicDatum``."""
+    representative's datum is built by ``pair_to_datum``, which reads the
+    composite actions of the enumeration, and checked as an ``EndoscopicDatum``."""
     pairs, sps = zip(*_pairs_with_actions(rs, galois))
     n = len(galois)
     keys = [tuple(a.perm for a in sp) for sp in sps]
@@ -201,7 +198,7 @@ def classify_elliptic(rs: RootSystem, galois: GaloisModel) -> ClassificationRepo
         entries.append(
             ClassEntry(
                 pair=rep,
-                datum=pair_to_datum(rs, galois, rep, sp),
+                datum=pair_to_datum(rs, galois, rep),
                 d=d,
                 dual_components=comps,
                 dual_action=action,
@@ -229,7 +226,7 @@ def verify_sigma_structure(rs: RootSystem, galois: GaloisModel, pair: EllipticPa
         rep.ok = False
         rep.violations.append(msg)
 
-    _validate_pair(rs, galois, pair)
+    _pair_actions(rs, galois, pair)
     d, s = _orbit_torus(rs, pair)
     dual_vecs = [rs.node_root(i) for i in rs.affine_nodes if i not in pair.orbit]
 

@@ -50,22 +50,14 @@ class GaloisModel:
                 raise InvalidInput("an element has no inverse")
         if len(self.action) != n:
             raise InvalidInput("action must assign a diagram automorphism per element")
-        if self.rs.is_simple:
-            valid = {aut.perm for aut in enumerate_delta_automorphisms(self.rs)}
-            for aut in self.action:
-                if not aut.fixes_node_zero() or aut.perm not in valid:
-                    raise InvalidInput("action values must be automorphisms of the diagram")
-        else:
-            simples = self.rs.simple_roots
-            for aut in self.action:
-                if not aut.fixes_node_zero():
-                    raise InvalidInput("action values must fix the padding slot")
-                for i in range(self.rs.rank):
-                    for j in range(self.rs.rank):
-                        if self.rs.pairing(
-                            simples[aut.perm[i + 1] - 1], simples[aut.perm[j + 1] - 1]
-                        ) != self.rs.pairing(simples[i], simples[j]):
-                            raise InvalidInput("action does not preserve the diagram")
+        # a diagram automorphism fixes slot 0 (the affine node of a simple
+        # type, padding on a product), permutes 0..rank, preserves the matrix
+        nodes, m = range(1, self.rs.rank + 1), self.rs.matrix
+        for p in (aut.perm for aut in self.action):
+            if len(p) != len(nodes) + 1 or set(p) != {0, *nodes} or p[0] != 0 or any(
+                m[p[i] - 1][p[j] - 1] != m[i - 1][j - 1] for i in nodes for j in nodes
+            ):
+                raise InvalidInput("action values must be automorphisms of the diagram")
         if not self.action[0].is_identity():
             raise InvalidInput("identity must act trivially")
         if not self.is_homomorphism(self.action):
@@ -155,27 +147,41 @@ class GaloisModel:
         return f"GaloisModel({'/'.join(self.names)} on {self.rs!r})"
 
 
-def _cyclic(n: int):
-    names = ["e"] + [f"g{k}" if n > 2 else "g" for k in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return names, table
-
-
-_S3_NAMES = ("e", "r", "rr", "s", "rs", "rrs")
-
-
-def _s3_table():
-    # r^3 = s^2 = e, s r s = r^-1; element = r^a s^b encoded (a, b)
-    enc = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-    idx = {v: i for i, v in enumerate(enc)}
+def _closure(gens):
+    """The group of permutations g_1..g_k of one point set, composed as
+    ``DiagramAut`` ((x.y)(i) = x(y(i))), as ``(elements, exponents, table)``:
+    the products g_1^a_1 ... g_k^a_k, each once, with a_1 running fastest,
+    their vectors (a_1..a_k), and ``table[x][y]`` the index of x.y.
+    Precondition: each g_j normalizes the group of the ones before it."""
 
     def mul(x, y):
-        a, b = x
-        c, d = y
-        # (r^a s^b)(r^c s^d) = r^(a + c*(-1)^b) s^(b+d)
-        return ((a + (c if b == 0 else -c)) % 3, (b + d) % 2)
+        return tuple(x[i] for i in y)
 
-    return [[idx[mul(x, y)] for y in enc] for x in enc]
+    elems, exps = [tuple(range(len(gens[0])))], [()]
+    for g in gens:
+        sub, sub_exps, members = list(elems), exps, set(elems)
+        exps = [x + (0,) for x in sub_exps]
+        a, power = 1, g
+        while power not in members:
+            elems += [mul(x, power) for x in sub]
+            exps += [x + (a,) for x in sub_exps]
+            a, power = a + 1, mul(power, g)
+    index = {x: i for i, x in enumerate(elems)}
+    return elems, exps, [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+def _cyclic(n: int):
+    """Names and table of Z/n, the closure of one n-cycle."""
+    names = ["e"] + [f"g{k}" if n > 2 else "g" for k in range(1, n)]
+    return names, _closure([tuple(range(1, n)) + (0,)])[2]
+
+
+def _s3():
+    """Names, table and elements of S3 = Aut(D4), closed from the rotation r
+    cycling a1, a3, a4 and the flip s swapping a3, a4; r^a s^b is named by
+    its word, e for the empty one."""
+    elems, exps, table = _closure([(0, 3, 2, 4, 1), (0, 1, 2, 4, 3)])
+    return ["r" * a + "s" * b or "e" for a, b in exps], table, elems
 
 
 def build_galois_model(spec, rs: RootSystem) -> GaloisModel:
@@ -184,8 +190,10 @@ def build_galois_model(spec, rs: RootSystem) -> GaloisModel:
 
     Presets: "trivial", "cN:inner" (cyclic, trivial action), "c2:outer"
     (cyclic of order 2 through the diagram flip, where one exists),
-    "c3:outer" (Z/3 into triality, D4 only), "s3" (S3 onto Aut(D4)).
-    "table:PATH" reads the dict from a JSON file.
+    "c3:outer" (Z/3 into triality, D4 only), "s3" (S3 onto Aut(D4)). Every
+    preset group is closed from generator permutations in a fixed element
+    order, so its names and table never change.  "table:PATH" reads the
+    dict from a JSON file.
     """
     if isinstance(spec, str) and spec.startswith("table:"):
         return load_galois_model(spec[len("table:"):], rs)
@@ -203,10 +211,8 @@ def _preset_model(name: str, rs: RootSystem) -> GaloisModel:
     if name == "s3":
         if not (rs.is_simple and str(rs.type) == "D4"):
             raise InvalidInput("preset 's3' needs type D4 (Aut of the diagram is S3 only there)")
-        rot = DiagramAut((0, 3, 2, 4, 1))   # fixes a2 and a0, cycles a1, a3, a4
-        flip = DiagramAut((0, 1, 2, 4, 3))  # swaps a3, a4
-        action = [DiagramAut.identity(4), rot, rot * rot, flip, rot * flip, rot * rot * flip]
-        return GaloisModel(_S3_NAMES, _s3_table(), action, rs)
+        names, table, elems = _s3()
+        return GaloisModel(names, table, [DiagramAut(x) for x in elems], rs)
     if ":" in name:
         base, variant = name.split(":", 1)
         if base.startswith("c") and base[1:].isdigit():
@@ -220,37 +226,19 @@ def _preset_model(name: str, rs: RootSystem) -> GaloisModel:
             if variant == "inner":
                 return GaloisModel(names, table, [DiagramAut.identity(rs.rank)] * n, rs)
             if variant == "outer":
-                gen_aut = _outer_generator(rs, n)
-                action = []
-                cur = DiagramAut.identity(rs.rank)
-                for _ in range(n):
-                    action.append(cur)
-                    cur = cur * gen_aut
-                return GaloisModel(names, table, action, rs)
+                # the powers of the first non-identity diagram automorphism,
+                # in lexicographic order, whose closure has n elements
+                closures = (
+                    _closure([a.perm])[0] for a in enumerate_delta_automorphisms(rs) if not a.is_identity()
+                )
+                elems = next((c for c in closures if len(c) == n), None)
+                if elems is None:
+                    raise InvalidInput(
+                        f"type {rs.type} admits no diagram automorphism of order {n}; "
+                        f"the outer preset is incompatible with it"
+                    )
+                return GaloisModel(names, table, [DiagramAut(x) for x in elems], rs)
     raise InvalidInput(f"unknown galois preset {name!r}")
-
-
-def _outer_generator(rs: RootSystem, n: int) -> DiagramAut:
-    auts = enumerate_delta_automorphisms(rs)
-    candidates = [a for a in auts if not a.is_identity()]
-    of_order = []
-    for a in candidates:
-        k, cur = 1, a
-        while not cur.is_identity():
-            cur = cur.compose(a)
-            k += 1
-        if k == n:
-            of_order.append(a)
-    if not of_order:
-        raise InvalidInput(
-            f"type {rs.type} admits no diagram automorphism of order {n}; "
-            f"the outer preset is incompatible with it"
-        )
-    if n == 3:
-        # triality: pick the rotation cycling a1 -> a3 -> a4 (D4 only)
-        pick = [a for a in of_order if a.perm == (0, 3, 2, 4, 1)]
-        return pick[0] if pick else sorted(of_order, key=lambda a: a.perm)[0]
-    return sorted(of_order, key=lambda a: a.perm)[0]
 
 
 def model_from_dict(data: dict, rs: RootSystem) -> GaloisModel:

@@ -198,25 +198,25 @@ def reduction_suite(n_trials: int = 200, seed: int = 20240 , types=_REDUCTION_TY
 
 def shapiro_configurations(base_types=("A1", "A2")):
     """The (ambient, subgroup, base action) battery for the transfer checks."""
-    from .galois import _S3_NAMES, _cyclic, _s3_table
+    from .galois import _cyclic, _s3
 
+    z2n, z2t = _cyclic(2)
+    z4n, z4t = _cyclic(4)
+    s3n, s3t, _ = _s3()
     configs = []
     for t in base_types:
         rs = build_root_system(t)
         flips = [a for a in enumerate_delta_automorphisms(rs) if not a.is_identity()]
-        z2n, z2t = _cyclic(2)
-        z4n, z4t = _cyclic(4)
-        s3t = _s3_table()
         # Z/2 with the trivial subgroup
         configs.append((t, "trivial", z2n, z2t, [0]))
         # Z/4 with its index-2 subgroup
         configs.append((t, "c2:inner", z4n, z4t, [0, 2]))
         # S3 with the index-2 (cyclic of order 3) subgroup
-        configs.append((t, "c3:inner", list(_S3_NAMES), s3t, [0, 1, 2]))
+        configs.append((t, "c3:inner", s3n, s3t, [0, 1, 2]))
         # S3 with an index-3 (order 2) subgroup
-        configs.append((t, "c2:inner", list(_S3_NAMES), s3t, [0, 3]))
+        configs.append((t, "c2:inner", s3n, s3t, [0, 3]))
         if flips:
-            configs.append((t, "c2:outer", list(_S3_NAMES), s3t, [0, 3]))
+            configs.append((t, "c2:outer", s3n, s3t, [0, 3]))
     return configs
 
 

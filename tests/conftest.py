@@ -423,3 +423,118 @@ def unfiltered_diagram_isomorphisms(pattern, pair, nodes):
                 assigned.pop()
 
     return list(extend())
+
+
+# -- the hand-written groups, the oracles of the permutation closure ---------------
+
+
+def hand_cyclic(n):
+    """Names and table of Z/n written out: element k is g^k, (i + j) mod n."""
+    names = ["e"] + [f"g{k}" if n > 2 else "g" for k in range(1, n)]
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return names, table
+
+
+HAND_S3_NAMES = ("e", "r", "rr", "s", "rs", "rrs")
+
+
+def hand_s3_table():
+    """The S3 table by the semidirect-product formula on r^a s^b."""
+    # r^3 = s^2 = e, s r s = r^-1; element = r^a s^b encoded (a, b)
+    enc = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    idx = {v: i for i, v in enumerate(enc)}
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        # (r^a s^b)(r^c s^d) = r^(a + c*(-1)^b) s^(b+d)
+        return ((a + (c if b == 0 else -c)) % 3, (b + d) % 2)
+
+    return [[idx[mul(x, y)] for y in enc] for x in enc]
+
+
+def hand_s3_action():
+    """The S3 action on D4 listed element by element."""
+    from endatlas.weyl import DiagramAut
+
+    rot = DiagramAut((0, 3, 2, 4, 1))   # fixes a2 and a0, cycles a1, a3, a4
+    flip = DiagramAut((0, 1, 2, 4, 3))  # swaps a3, a4
+    return [DiagramAut.identity(4), rot, rot * rot, flip, rot * flip, rot * rot * flip]
+
+
+def hand_outer_generator(rs, n):
+    """The least diagram automorphism of order n found by an order loop, with
+    the triality rotation picked explicitly when n = 3."""
+    from endatlas.errors import InvalidInput
+    from endatlas.weyl import enumerate_delta_automorphisms
+
+    of_order = []
+    for a in enumerate_delta_automorphisms(rs):
+        if a.is_identity():
+            continue
+        k, cur = 1, a
+        while not cur.is_identity():
+            cur = cur.compose(a)
+            k += 1
+        if k == n:
+            of_order.append(a)
+    if not of_order:
+        raise InvalidInput(
+            f"type {rs.type} admits no diagram automorphism of order {n}; "
+            f"the outer preset is incompatible with it"
+        )
+    if n == 3:
+        pick = [a for a in of_order if a.perm == (0, 3, 2, 4, 1)]
+        return pick[0] if pick else sorted(of_order, key=lambda a: a.perm)[0]
+    return sorted(of_order, key=lambda a: a.perm)[0]
+
+
+def hand_preset_model(name, rs):
+    """The preset model from the hand-written groups, with the preset refusals."""
+    from endatlas.errors import DEFAULT_WORK_CAP, CapExceeded, InvalidInput
+    from endatlas.galois import GaloisModel
+    from endatlas.weyl import DiagramAut
+
+    if name == "trivial":
+        return GaloisModel(["e"], [[0]], [DiagramAut.identity(rs.rank)], rs)
+    if name == "s3":
+        if not (rs.is_simple and str(rs.type) == "D4"):
+            raise InvalidInput("preset 's3' needs type D4 (Aut of the diagram is S3 only there)")
+        return GaloisModel(HAND_S3_NAMES, hand_s3_table(), hand_s3_action(), rs)
+    base, variant = name.split(":", 1)
+    n = int(base[1:])
+    if n < 1:
+        raise InvalidInput("cyclic preset needs order >= 1")
+    if n**3 > DEFAULT_WORK_CAP:
+        raise CapExceeded(f"cyclic preset of order {n} exceeds the work cap {DEFAULT_WORK_CAP}")
+    names, table = hand_cyclic(n)
+    if variant == "inner":
+        return GaloisModel(names, table, [DiagramAut.identity(rs.rank)] * n, rs)
+    gen_aut = hand_outer_generator(rs, n)
+    action = []
+    cur = DiagramAut.identity(rs.rank)
+    for _ in range(n):
+        action.append(cur)
+        cur = cur * gen_aut
+    return GaloisModel(names, table, action, rs)
+
+
+def hand_shapiro_configurations(base_types):
+    """The Shapiro battery from the hand-written Z/2, Z/4 and S3 tables."""
+    from endatlas.rootsys import build_root_system
+    from endatlas.weyl import enumerate_delta_automorphisms
+
+    configs = []
+    for t in base_types:
+        rs = build_root_system(t)
+        flips = [a for a in enumerate_delta_automorphisms(rs) if not a.is_identity()]
+        z2n, z2t = hand_cyclic(2)
+        z4n, z4t = hand_cyclic(4)
+        s3t = hand_s3_table()
+        configs.append((t, "trivial", z2n, z2t, [0]))
+        configs.append((t, "c2:inner", z4n, z4t, [0, 2]))
+        configs.append((t, "c3:inner", list(HAND_S3_NAMES), s3t, [0, 1, 2]))
+        configs.append((t, "c2:inner", list(HAND_S3_NAMES), s3t, [0, 3]))
+        if flips:
+            configs.append((t, "c2:outer", list(HAND_S3_NAMES), s3t, [0, 3]))
+    return configs

@@ -487,7 +487,7 @@ def test_classified_data_are_the_public_pair_to_datum(ct):
 
 def test_a_forged_pair_is_an_input_error_on_the_public_route(a2):
     """A map that is not a cocycle, a union of two orbits and a part of an
-    orbit are all refused by ``pair_to_datum`` without ``actions``."""
+    orbit are all refused by ``pair_to_datum``."""
     from endatlas.galois import Cocycle
     from endatlas.weyl import DiagramAut
 

@@ -6,6 +6,7 @@ import pytest
 
 from endatlas.errors import CapExceeded, InvalidInput
 from endatlas.galois import (
+    GaloisModel,
     build_galois_model,
     enumerate_cocycles,
     model_from_dict,
@@ -13,8 +14,10 @@ from endatlas.galois import (
     places,
     restrict_model,
 )
-from endatlas.rootsys import build_root_system
-from endatlas.weyl import omega_group
+from endatlas.rootsys import ALL_TYPES_THROUGH_RANK_8, build_root_system, product_root_system
+from endatlas.weyl import DiagramAut, omega_group
+
+from conftest import hand_preset_model
 
 
 def test_trivial_preset(a1):
@@ -36,6 +39,55 @@ def test_huge_cyclic_preset_raises_before_building(a1, monkeypatch):
     monkeypatch.setattr("endatlas.galois._cyclic", build)
     with pytest.raises(CapExceeded):
         build_galois_model("c1000000:inner", a1)
+
+
+_PRESETS = ("trivial", "s3") + tuple(f"c{n}:{v}" for n in range(1, 13) for v in ("inner", "outer"))
+
+
+def _outcome(build, name, rs):
+    try:
+        return build(name, rs).key()
+    except (InvalidInput, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_presets_are_the_hand_written_models():
+    """Every preset closed from its generators has the names, table and
+    action of the hand-written group, or its refusal, on every type."""
+    for ct in ALL_TYPES_THROUGH_RANK_8:
+        rs = build_root_system(ct)
+        for name in _PRESETS:
+            assert _outcome(build_galois_model, name, rs) == _outcome(hand_preset_model, name, rs), (ct, name)
+    a1 = build_root_system("A1")
+    for name in ("c0:inner", "c101:inner", "c101:outer"):
+        assert _outcome(build_galois_model, name, a1) == _outcome(hand_preset_model, name, a1)
+
+
+def test_a_product_action_must_preserve_the_diagram():
+    rs = product_root_system(["A1", "A2"])
+    identity = DiagramAut.identity(rs.rank)
+    GaloisModel(["e", "g"], [[0, 1], [1, 0]], [identity, DiagramAut((0, 1, 3, 2))], rs)
+    with pytest.raises(InvalidInput, match="automorphisms of the diagram"):
+        GaloisModel(["e", "g"], [[0, 1], [1, 0]], [identity, DiagramAut((0, 2, 1, 3))], rs)
+
+
+@pytest.mark.parametrize(
+    "types, perm",
+    [
+        (types, perm)
+        for types in (["A1", "A2"], ["A3"])
+        for perm in ((0, 1, 2, 4), (0, 1, 1, 3), (0, 1, 2), (1, 0, 2, 3))
+    ]
+    + [(["A1"], (1, 0))],
+    ids=str,
+)
+def test_an_action_value_that_permutes_no_diagram_is_an_input_error(types, perm):
+    """Off 0..rank, repeated, short, or moving slot 0: on A1 the swap (1, 0)
+    preserves the matrix, so only the slot-0 rule refuses it."""
+    rs = product_root_system(types)
+    action = [DiagramAut.identity(rs.rank), DiagramAut(perm)]
+    with pytest.raises(InvalidInput, match="automorphisms of the diagram"):
+        GaloisModel(["e", "g"], [[0, 1], [1, 0]], action, rs)
 
 
 def test_c2_outer_on_a2(a2):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from endatlas.errors import InvalidInput
-from endatlas.galois import _S3_NAMES, _cyclic, _s3_table, build_galois_model
+from endatlas.galois import build_galois_model
 from endatlas.rootsys import build_root_system
 from endatlas.torus import TorusElement
 from endatlas.weyl import enumerate_weyl
@@ -32,7 +32,14 @@ from endatlas.reduction import (
 )
 from endatlas.suites import shapiro_configurations, shapiro_suite, _base_data_for
 
-from conftest import omega_sending_zero_to, out_group
+from conftest import (
+    HAND_S3_NAMES,
+    hand_cyclic,
+    hand_s3_table,
+    hand_shapiro_configurations,
+    omega_sending_zero_to,
+    out_group,
+)
 
 F = Fraction
 
@@ -40,6 +47,11 @@ F = Fraction
 def _z2_model(a1):
     base = build_galois_model("trivial", a1)
     return make_induced_model(base, ["e", "g"], [[0, 1], [1, 0]], [0])
+
+
+def test_shapiro_configurations_are_the_hand_written_groups():
+    types = ("A1", "A2", "C2", "G2", "B3", "C3")
+    assert shapiro_configurations(types) == hand_shapiro_configurations(types)
 
 
 def test_induced_model_shape(a1):
@@ -80,7 +92,7 @@ def test_normalizing_a_product_datum_is_an_input_error(a1):
     """The Langlands normalization is defined for simple types only; an
     induced datum on A1 x A1 is refused rather than normalized."""
     base = build_galois_model("c2:inner", a1)
-    model = make_induced_model(base, *_cyclic(4), [0, 2])
+    model = make_induced_model(base, *hand_cyclic(4), [0, 2])
     x = make_datum(a1, base, TorusElement([F(1, 2)]), {})
     y = shapiro_induce(x, model)
     with pytest.raises(InvalidInput, match="simple"):
@@ -159,7 +171,7 @@ def test_induce_descend_up_to_equivalence(a1):
 def test_equivalence_transfers_both_ways(a2):
     """S3 with its index-2 cyclic subgroup over A2: inequivalent pairs stay so."""
     base = build_galois_model("c3:inner", a2)
-    model = make_induced_model(base, list(_S3_NAMES), _s3_table(), [0, 1, 2])
+    model = make_induced_model(base, list(HAND_S3_NAMES), hand_s3_table(), [0, 1, 2])
     r1 = omega_sending_zero_to(a2, 1)
     r2 = omega_sending_zero_to(a2, 2)
     s = TorusElement([F(1, 3), F(1, 3)])
